@@ -74,6 +74,20 @@ _VICTIM_SNIPPET = (
 )
 
 
+#: A healthy worker that attaches only once the victim (PID argv[3]) is
+#: dead, so the victim deterministically claims -- and loses -- a shard.
+_SURVIVOR_SNIPPET = (
+    "import os, sys, time\n"
+    "while True:\n"
+    "    try:\n"
+    "        os.kill(int(sys.argv[3]), 0)\n"
+    "    except ProcessLookupError:\n"
+    "        break\n"
+    "    time.sleep(0.05)\n"
+    + _WORKER_SNIPPET
+)
+
+
 def _worker_env() -> Dict[str, str]:
     env = dict(os.environ)
     path = env.get("PYTHONPATH")
@@ -81,9 +95,11 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
-def _spawn_worker(snippet: str, sweep_dir: str, worker_id: str) -> subprocess.Popen:
+def _spawn_worker(
+    snippet: str, sweep_dir: str, worker_id: str, *extra: str
+) -> subprocess.Popen:
     process = subprocess.Popen(
-        [sys.executable, "-c", snippet, sweep_dir, worker_id],
+        [sys.executable, "-c", snippet, sweep_dir, worker_id, *extra],
         env=_worker_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -130,9 +146,17 @@ def _run_broker_fleet(models: Sequence[str], shards: int, workers: int):
 
 
 def _run_sigkill_recovery(models: Sequence[str], shards: int):
-    """One worker dies mid-shard; the coordinator must recover and finish."""
+    """One worker dies mid-shard; the fleet must recover and finish.
+
+    The coordinator only coordinates, so the victim's shard can be
+    finished by nobody but the survivor, which attaches after the victim
+    died: however fast the shards run, the victim always claims one.
+    """
     with tempfile.TemporaryDirectory(prefix="bench-dist-") as sweep_dir:
         victim = _spawn_worker(_VICTIM_SNIPPET, sweep_dir, "bench-victim")
+        survivor = _spawn_worker(
+            _SURVIVOR_SNIPPET, sweep_dir, "bench-survivor", str(victim.pid)
+        )
         try:
             with warnings.catch_warnings():
                 # The lost-worker requeue warning is this run's whole point.
@@ -140,14 +164,18 @@ def _run_sigkill_recovery(models: Sequence[str], shards: int):
                 result = run_sweep(
                     experiments=EXPERIMENTS, models=models,
                     transport="broker", sweep_dir=sweep_dir, shards=shards,
+                    transport_options={"coordinator_executes": False},
                 )
         finally:
             victim.wait(timeout=120)
+            survivor.wait(timeout=120)
         if victim.returncode != -9:
             raise AssertionError(
                 f"victim was expected to die by SIGKILL, exited "
                 f"{victim.returncode}"
             )
+        if survivor.returncode != 0:
+            raise AssertionError(f"survivor exited {survivor.returncode}")
         return result
 
 

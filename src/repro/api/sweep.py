@@ -67,6 +67,7 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -493,7 +494,7 @@ def run_point(
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepShard:
-    """A contiguous batch of grid points executed by one worker.
+    """A batch of grid points executed by one worker.
 
     Attributes:
         index: shard sequence number (stable across identical plans).
@@ -564,7 +565,11 @@ class ShardPlanner:
        grid kernel (:func:`repro.sim.vectorized.simulate_grid`) of one
        worker, sharing one workload-profile cache across the per-config
        sessions -- and each group is chunked into shards of roughly
-       ``total / shards`` points, preserving grid order.
+       ``total / shards`` points.  Cold groups are chunked at *profile*
+       boundaries: every cold single-model point of one model lands in
+       one shard, so each distinct workload profile is computed once per
+       sweep (see :func:`_profile_bundles`).  Warm and model-free points
+       chunk in grid order.
 
     The warm/cold split costs ONE batched cache probe for the whole grid,
     not one ``stat`` per point: the packed backend intersects the grid's
@@ -667,9 +672,12 @@ class ShardPlanner:
         }
         shards: List[SweepShard] = []
         for (warm, _seed, _engine), members in groups.items():
-            size = chunk_sizes[warm]
-            for start in range(0, len(members), size):
-                chunk = members[start : start + size]
+            bundles = (
+                [[member] for member in members]
+                if warm
+                else _profile_bundles(members)
+            )
+            for chunk in _chunk_bundles(bundles, chunk_sizes[warm]):
                 resolved: Dict[str, DBPIMConfig] = {}
                 for _, point in chunk:
                     if point.config not in resolved:
@@ -703,6 +711,47 @@ _MERGEABLE_EXPERIMENTS = frozenset(
     for spec in EXPERIMENTS.values()
     if spec.takes_models and not spec.aggregates_models and not spec.heavy
 )
+
+
+def _profile_bundles(
+    members: Sequence[Tuple[int, SweepPoint]]
+) -> List[List[Tuple[int, SweepPoint]]]:
+    """Cold points bundled by the workload profile they need.
+
+    Every single-model point joins the bundle of its model (opened at the
+    model's first appearance), so one shard runs all of a model's cold
+    points and its sessions profile the model once; model-free and
+    multi-model points stay single-point bundles, in grid order.
+    """
+    bundles: List[List[Tuple[int, SweepPoint]]] = []
+    by_model: Dict[str, List[Tuple[int, SweepPoint]]] = {}
+    for index, point in members:
+        models = point.params.get("models")
+        if not isinstance(models, list) or len(models) != 1:
+            bundles.append([(index, point)])
+            continue
+        model = str(models[0]).lower()
+        if model not in by_model:
+            by_model[model] = []
+            bundles.append(by_model[model])
+        by_model[model].append((index, point))
+    return bundles
+
+
+def _chunk_bundles(
+    bundles: Sequence[List[Tuple[int, SweepPoint]]], size: int
+) -> Iterator[List[Tuple[int, SweepPoint]]]:
+    """Pack whole bundles into chunks of at least ``size`` points (the last
+    may be smaller), each chunk in grid order.  Single-point bundles chunk
+    exactly like ``members[start : start + size]``."""
+    chunk: List[Tuple[int, SweepPoint]] = []
+    for bundle in bundles:
+        chunk.extend(bundle)
+        if len(chunk) >= size:
+            yield sorted(chunk, key=lambda member: member[0])
+            chunk = []
+    if chunk:
+        yield sorted(chunk, key=lambda member: member[0])
 
 
 def _session_key(point: SweepPoint) -> Tuple[str, int, str]:

@@ -98,11 +98,8 @@ class DBPIMAccelerator:
 
         macro_config = self.config.macro
         if sparse:
-            thresholds = [
-                max(filter_result.threshold, 1)
-                for filter_result in approximate_layer(weights, self.fta_config).filters
-            ]
-            allocation = max(thresholds)
+            thresholds = approximate_layer(weights, self.fta_config).thresholds
+            allocation = max(int(thresholds.max()), 1)
             filters_per_tile = macro_config.sparse_filters_per_macro(allocation)
         else:
             allocation = macro_config.weight_bits

@@ -17,12 +17,19 @@ This module provides conversions between Python integers / numpy arrays and
 CSD digit vectors, plus the small helpers (non-zero counting, validation,
 pretty printing) the rest of the library builds on.
 
+The two counting helpers the profiling hot path calls for every weight
+(:func:`count_nonzero_digits_array`, :func:`count_nonzero_bits_binary`) are
+table lookups: for widths up to :data:`LUT_MAX_WIDTH` the count of every
+value in the width's domain is computed once from the digit-plane
+conversions and cached read-only.  Wider words take the digit-plane path.
+
 Digit vectors are numpy ``int8`` arrays ordered least-significant digit
 first: ``digits[k]`` is the coefficient of ``2**k``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -42,11 +49,18 @@ __all__ = [
     "max_value",
     "binary_digits",
     "count_nonzero_bits_binary",
+    "digit_count_table",
+    "popcount_table",
+    "LUT_MAX_WIDTH",
 ]
 
 #: Default digit width used throughout the library.  Eight digits are enough
 #: to represent every signed INT8 value (``-128 .. 127``) in CSD form.
 DEFAULT_WIDTH = 8
+
+#: Widest word whose per-value counts are tabulated (a width-16 table has
+#: 87,381 CSD entries and 65,536 popcount entries).
+LUT_MAX_WIDTH = 16
 
 
 def min_value(width: int = DEFAULT_WIDTH) -> int:
@@ -118,6 +132,16 @@ def from_csd(digits: Sequence[int]) -> int:
     return total
 
 
+def _check_domain(values: np.ndarray, width: int) -> None:
+    """Raise ``ValueError`` unless every value fits ``width`` CSD digits."""
+    low, high = min_value(width), max_value(width)
+    if values.size and (values.min() < low or values.max() > high):
+        raise ValueError(
+            f"values outside the representable range [{low}, {high}] "
+            f"for width {width}"
+        )
+
+
 def to_csd_array(values: np.ndarray, width: int = DEFAULT_WIDTH) -> np.ndarray:
     """Vectorised CSD conversion.
 
@@ -131,12 +155,7 @@ def to_csd_array(values: np.ndarray, width: int = DEFAULT_WIDTH) -> np.ndarray:
     """
     values = np.asarray(values)
     flat = values.reshape(-1).astype(np.int64)
-    low, high = min_value(width), max_value(width)
-    if flat.size and (flat.min() < low or flat.max() > high):
-        raise ValueError(
-            f"values outside the representable range [{low}, {high}] "
-            f"for width {width}"
-        )
+    _check_domain(flat, width)
     digits = np.zeros((flat.size, width), dtype=np.int8)
     remaining = flat.copy()
     for position in range(width):
@@ -164,9 +183,32 @@ def count_nonzero_digits(value: int, width: int = DEFAULT_WIDTH) -> int:
 def count_nonzero_digits_array(
     values: np.ndarray, width: int = DEFAULT_WIDTH
 ) -> np.ndarray:
-    """Per-element non-zero CSD digit counts for an integer array."""
-    digits = to_csd_array(values, width)
-    return np.count_nonzero(digits, axis=-1)
+    """Per-element non-zero CSD digit counts for an integer array.
+
+    One lookup per element into :func:`digit_count_table` for widths up to
+    :data:`LUT_MAX_WIDTH`; wider words count their digit planes.
+
+    Raises:
+        ValueError: if a value does not fit in ``width`` CSD digits.
+    """
+    if width > LUT_MAX_WIDTH:
+        return np.count_nonzero(to_csd_array(values, width), axis=-1)
+    values = np.asarray(values).astype(np.int64, copy=False)
+    _check_domain(values, width)
+    return digit_count_table(width)[values - min_value(width)]
+
+
+@lru_cache(maxsize=None)
+def digit_count_table(width: int = DEFAULT_WIDTH) -> np.ndarray:
+    """Read-only non-zero CSD digit count of every value in the domain.
+
+    Entry ``i`` is the count of ``min_value(width) + i`` (for width 8, the
+    341 values ``-170 .. 170``), built once from :func:`to_csd_array`.
+    """
+    domain = np.arange(min_value(width), max_value(width) + 1, dtype=np.int64)
+    table = np.count_nonzero(to_csd_array(domain, width), axis=-1)
+    table.flags.writeable = False
+    return table
 
 
 def is_valid_csd(digits: Sequence[int]) -> bool:
@@ -215,8 +257,25 @@ def binary_digits(values: np.ndarray, width: int = DEFAULT_WIDTH) -> np.ndarray:
 def count_nonzero_bits_binary(
     values: np.ndarray, width: int = DEFAULT_WIDTH
 ) -> np.ndarray:
-    """Per-element count of set bits in the two's complement representation."""
-    return np.count_nonzero(binary_digits(values, width), axis=-1)
+    """Per-element count of set bits in the two's complement representation.
+
+    One lookup per element into :func:`popcount_table` for widths up to
+    :data:`LUT_MAX_WIDTH`; wider words count their bit planes.
+    """
+    if width > LUT_MAX_WIDTH:
+        return np.count_nonzero(binary_digits(values, width), axis=-1)
+    unsigned = np.asarray(values, dtype=np.int64) & ((1 << width) - 1)
+    return popcount_table(width)[unsigned]
+
+
+@lru_cache(maxsize=None)
+def popcount_table(width: int = DEFAULT_WIDTH) -> np.ndarray:
+    """Read-only set-bit count of every ``width``-bit pattern, built once
+    from :func:`binary_digits`."""
+    patterns = np.arange(1 << width, dtype=np.int64)
+    table = np.count_nonzero(binary_digits(patterns, width), axis=-1)
+    table.flags.writeable = False
+    return table
 
 
 def iter_csd(values: Iterable[int], width: int = DEFAULT_WIDTH):

@@ -19,12 +19,19 @@ keep every active SRAM cell doing useful work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .csd import DEFAULT_WIDTH, count_nonzero_digits_array
-from .query_table import QueryTableMode, nearest_in_table_array
+from .csd import (
+    DEFAULT_WIDTH,
+    LUT_MAX_WIDTH,
+    count_nonzero_digits_array,
+    max_value,
+    min_value,
+)
+from .query_table import QueryTableMode, max_phi, nearest_in_table_array
 
 __all__ = [
     "FTAConfig",
@@ -98,37 +105,41 @@ class FilterApproximation:
 
 @dataclass
 class FTAResult:
-    """FTA output for a whole layer (a stack of filters).
+    """FTA output for a whole layer (a stack of filters), array-backed.
 
     Attributes:
-        filters: per-filter approximations, in filter order.
+        thresholds: per-filter thresholds ``Φ_th``, shape ``(filters,)``.
+        approximated: approximated weights, in the layer's filter-major
+            shape ``(filters, ...)``.
+        original: the quantized weights before approximation (same shape).
+        phi_counts: per-weight non-zero CSD digit counts of ``original``.
         config: the configuration used.
     """
 
-    filters: List[FilterApproximation]
+    thresholds: np.ndarray
+    approximated: np.ndarray
+    original: np.ndarray
+    phi_counts: np.ndarray
     config: FTAConfig = field(default_factory=FTAConfig)
 
-    @property
-    def thresholds(self) -> np.ndarray:
-        """Vector of per-filter thresholds ``Φ_th``."""
-        return np.asarray([f.threshold for f in self.filters], dtype=np.int64)
-
-    @property
-    def approximated(self) -> np.ndarray:
-        """Approximated weights stacked back into ``(filters, elements)``."""
-        return np.stack([f.approximated for f in self.filters], axis=0)
-
-    @property
-    def original(self) -> np.ndarray:
-        """Original weights stacked back into ``(filters, elements)``."""
-        return np.stack([f.original for f in self.filters], axis=0)
+    @cached_property
+    def filters(self) -> List[FilterApproximation]:
+        """Per-filter views of the layer arrays, in filter order (built on
+        first access)."""
+        return [
+            FilterApproximation(
+                threshold=int(threshold),
+                original=self.original[index],
+                approximated=self.approximated[index],
+                phi_counts=self.phi_counts[index],
+            )
+            for index, threshold in enumerate(self.thresholds)
+        ]
 
     def threshold_histogram(self) -> Dict[int, int]:
-        """Count of filters per threshold value."""
-        histogram: Dict[int, int] = {}
-        for value in self.thresholds:
-            histogram[int(value)] = histogram.get(int(value), 0) + 1
-        return histogram
+        """Count of filters per threshold value (ascending thresholds)."""
+        counts = np.bincount(self.thresholds)
+        return {int(value): int(counts[value]) for value in np.flatnonzero(counts)}
 
 
 def _mode_of_counts(counts: np.ndarray) -> int:
@@ -180,14 +191,7 @@ def approximate_filter(
     if threshold == 0:
         approximated = np.zeros_like(flat)
     else:
-        approximated = nearest_in_table_array(
-            flat,
-            threshold,
-            low=config.value_low,
-            high=config.value_high,
-            width=config.width,
-            mode=config.table_mode,
-        )
+        approximated = _snap_values(flat, threshold, config)
     return FilterApproximation(
         threshold=threshold,
         original=weights.copy(),
@@ -196,16 +200,84 @@ def approximate_filter(
     )
 
 
+def _layer_thresholds(counts: np.ndarray, config: FTAConfig) -> np.ndarray:
+    """Vectorised :func:`filter_threshold` over a ``(filters, weights)``
+    matrix of digit counts.
+
+    One ``np.bincount`` over row-offset counts yields every filter's count
+    histogram; its argmax is the mode (the first maximum, i.e. the smallest
+    count, wins ties as in :func:`_mode_of_counts`).
+    """
+    bins = max_phi(config.width) + 1
+    filters = counts.shape[0]
+    offsets = np.arange(filters, dtype=np.int64)[:, None] * bins
+    histograms = np.bincount(
+        (counts + offsets).reshape(-1), minlength=filters * bins
+    ).reshape(filters, bins)
+    mode = histograms.argmax(axis=1)
+    thresholds = np.where(mode == 0, 1, np.minimum(mode, config.max_threshold))
+    thresholds[histograms[:, 0] == counts.shape[1]] = 0  # all-zero filters
+    return thresholds.astype(np.int64)
+
+
+@lru_cache(maxsize=32)
+def _snap_table(config: FTAConfig) -> Optional[np.ndarray]:
+    """Stacked snap table of one configuration, or ``None`` when untabulable.
+
+    Row ``t`` maps every value of the CSD domain (offset by
+    ``min_value(config.width)``) to its nearest entry of ``T(t)``, built with
+    :func:`nearest_in_table_array`; row 0 is all zeros (threshold 0 zeroes
+    the whole filter).  ``None`` when the width is wider
+    than :data:`~repro.core.csd.LUT_MAX_WIDTH` or some reachable ``T(t)`` is
+    empty for the configured value range (the per-threshold path then raises
+    the query table's error only if a filter actually needs that row).
+    """
+    if config.width > LUT_MAX_WIDTH:
+        return None
+    domain = np.arange(min_value(config.width), max_value(config.width) + 1)
+    top = max(1, min(config.max_threshold, max_phi(config.width)))
+    rows = [np.zeros_like(domain)]
+    try:
+        for threshold in range(1, top + 1):
+            rows.append(_snap_values(domain, threshold, config))
+    except ValueError:
+        return None
+    table = np.stack(rows)
+    table.flags.writeable = False
+    return table
+
+
+def _snap_values(values: np.ndarray, threshold: int, config: FTAConfig) -> np.ndarray:
+    """Snap ``values`` to the nearest entry of ``T(threshold)``."""
+    return nearest_in_table_array(
+        values,
+        threshold,
+        low=config.value_low,
+        high=config.value_high,
+        width=config.width,
+        mode=config.table_mode,
+    )
+
+
 def approximate_layer(
     weights: np.ndarray, config: Optional[FTAConfig] = None
 ) -> FTAResult:
     """Apply FTA to a layer whose weights are stacked filter-major.
+
+    One vectorised pass over the whole layer, equal to stacking
+    :func:`approximate_filter` over the filters (the scalar reference,
+    pinned exhaustively by the tests): a digit-count lookup per weight, one
+    histogram pass for every filter's threshold, and a lookup per weight in
+    the configuration's stacked snap table.
 
     Args:
         weights: array of shape ``(num_filters, ...)``; each slice along the
             first axis is treated as one filter (Alg. 1 groups the layer by
             filter).
         config: FTA configuration.
+
+    Raises:
+        ValueError: for an empty layer, or weights outside the CSD domain.
     """
     config = config or FTAConfig()
     weights = np.asarray(weights, dtype=np.int64)
@@ -213,8 +285,26 @@ def approximate_layer(
         raise ValueError("layer weights must contain at least one filter")
     if weights.ndim == 1:
         weights = weights.reshape(weights.shape[0], 1)
-    filters = [approximate_filter(weights[i], config) for i in range(weights.shape[0])]
-    return FTAResult(filters=filters, config=config)
+    if weights[0].size == 0:
+        raise ValueError("cannot derive a threshold for an empty filter")
+    flat = weights.reshape(weights.shape[0], -1)
+    counts = count_nonzero_digits_array(flat, config.width)
+    thresholds = _layer_thresholds(counts, config)
+    table = _snap_table(config)
+    if table is not None:
+        approximated = table[thresholds[:, None], flat - min_value(config.width)]
+    else:
+        approximated = np.zeros_like(flat)
+        for threshold in np.unique(thresholds[thresholds > 0]):
+            rows = thresholds == threshold
+            approximated[rows] = _snap_values(flat[rows], int(threshold), config)
+    return FTAResult(
+        thresholds=thresholds,
+        approximated=approximated.reshape(weights.shape),
+        original=weights.copy(),
+        phi_counts=counts.reshape(weights.shape),
+        config=config,
+    )
 
 
 def approximate_model(

@@ -232,9 +232,7 @@ def profile_layer(
     nonzero_digits = int(count_nonzero_digits_array(approx).sum())
     zero_ratio = 1.0 - nonzero_digits / total_digits
     binary_zero_ratio = weight_zero_bit_ratio_binary(int_weights)
-    allocated = sum(
-        max(int(t), 1) * approx.shape[1] for t in sampled_thresholds
-    )
+    allocated = int(np.maximum(sampled_thresholds, 1).sum()) * approx.shape[1]
     utilization = nonzero_digits / allocated if allocated else 0.0
 
     activations = synthesize_activations(layer, activation_density, seed)

@@ -29,6 +29,9 @@ from repro.api import (
     run_sweep,
 )
 from repro.api.sweep import SweepPoint, run_point
+from repro.workloads import list_workloads
+
+PAPER_MODELS = tuple(list_workloads())
 
 GRID_KWARGS = dict(experiments=("fig7", "table4"), models=("alexnet", "mobilenetv2"))
 
@@ -89,6 +92,60 @@ class TestShardPlanner:
         plan = ShardPlanner().plan(grid)
         ((name, config),) = plan.shards[0].configs
         assert name == "dense-baseline" and not config.weight_sparsity
+
+    def test_cold_points_of_one_model_share_a_shard(self, monkeypatch):
+        # Every cold point of one (model, seed, engine) lands in one shard,
+        # whose with_config sessions share one profile cache: the serial
+        # fig7 x 5 models x 2 presets sweep profiles each model once.
+        import repro.api.experiment as experiment_module
+
+        kwargs = dict(
+            experiments=("fig7",),
+            models=PAPER_MODELS,
+            configs=("paper-28nm", "paper-28nm-8macro"),
+        )
+        grid = build_grid(**kwargs)
+        planner = ShardPlanner(max_workers=2)
+        plan = planner.plan(grid)
+        assert plan == planner.plan(grid)
+        assert [s.indices for s in plan.shards] == [
+            (0, 1, 5, 6), (2, 3, 7, 8), (4, 9)
+        ]
+        for shard in plan.shards:
+            models = {p.params["models"][0] for p in shard.points}
+            owners = {
+                m for s in plan.shards for p in s.points
+                if s is not shard for m in p.params["models"]
+            }
+            assert not models & owners
+
+        calls = []
+        original = experiment_module.profile_model
+
+        def counting(workload, *args, **kw):
+            calls.append(workload.name)
+            return original(workload, *args, **kw)
+
+        monkeypatch.setattr(experiment_module, "profile_model", counting)
+        swept = run_sweep(transport="serial", max_workers=2, **kwargs)
+        assert sorted(calls) == sorted(PAPER_MODELS)
+        point_at_a_time = SweepResult(
+            results=tuple(run_point(point)[0] for point in grid),
+            cache_misses=len(grid),
+        )
+        assert swept.to_json() == point_at_a_time.to_json()
+
+    def test_model_free_points_chunk_in_grid_order(self):
+        # table1/table4 points take no model: they split across shards in
+        # plain grid-order chunks of ceil(total / shards) points.
+        grid = build_grid(
+            experiments=("table1", "table4"),
+            configs=("paper-28nm", "dense-baseline", "paper-28nm-8macro"),
+            seeds=(0,),
+        )
+        assert len(grid) == 6
+        plan = ShardPlanner(shards=4).plan(grid)
+        assert [s.indices for s in plan.shards] == [(0, 1), (2, 3), (4, 5)]
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError, match="shards"):
