@@ -566,10 +566,10 @@ class ShardPlanner:
        worker, sharing one workload-profile cache across the per-config
        sessions -- and each group is chunked into shards of roughly
        ``total / shards`` points.  Cold groups are chunked at *profile*
-       boundaries: every cold single-model point of one model lands in
-       one shard, so each distinct workload profile is computed once per
-       sweep (see :func:`_profile_bundles`).  Warm and model-free points
-       chunk in grid order.
+       boundaries: every cold single-model point of one model whose
+       experiment profiles it lands in one shard, so each distinct
+       workload profile is computed once per sweep (see
+       :func:`_profile_bundles`).  Every other point chunks in grid order.
 
     The warm/cold split costs ONE batched cache probe for the whole grid,
     not one ``stat`` per point: the packed backend intersects the grid's
@@ -713,21 +713,32 @@ _MERGEABLE_EXPERIMENTS = frozenset(
 )
 
 
+#: Experiments whose runner profiles every requested workload
+#: (``Experiment.profile``).  Only their cold points are bundled per model;
+#: bundling anything else (e.g. the training-based ``table2``) would only
+#: serialise work that shares no profile.
+_PROFILING_EXPERIMENTS = frozenset({"fig7", "table3", "program"})
+
+
 def _profile_bundles(
     members: Sequence[Tuple[int, SweepPoint]]
 ) -> List[List[Tuple[int, SweepPoint]]]:
     """Cold points bundled by the workload profile they need.
 
-    Every single-model point joins the bundle of its model (opened at the
-    model's first appearance), so one shard runs all of a model's cold
-    points and its sessions profile the model once; model-free and
-    multi-model points stay single-point bundles, in grid order.
+    Every single-model point of a profiling experiment joins the bundle of
+    its model (opened at the model's first appearance), so one shard runs
+    all of those cold points and its sessions profile the model once; every
+    other point stays a single-point bundle, in grid order.
     """
     bundles: List[List[Tuple[int, SweepPoint]]] = []
     by_model: Dict[str, List[Tuple[int, SweepPoint]]] = {}
     for index, point in members:
         models = point.params.get("models")
-        if not isinstance(models, list) or len(models) != 1:
+        if (
+            point.experiment not in _PROFILING_EXPERIMENTS
+            or not isinstance(models, list)
+            or len(models) != 1
+        ):
             bundles.append([(index, point)])
             continue
         model = str(models[0]).lower()

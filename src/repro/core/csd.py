@@ -19,7 +19,7 @@ pretty printing) the rest of the library builds on.
 
 The two counting helpers the profiling hot path calls for every weight
 (:func:`count_nonzero_digits_array`, :func:`count_nonzero_bits_binary`) are
-table lookups: for widths up to :data:`LUT_MAX_WIDTH` the count of every
+table lookups: for widths up to 16 digits the count of every
 value in the width's domain is computed once from the digit-plane
 conversions and cached read-only.  Wider words take the digit-plane path.
 
@@ -49,9 +49,6 @@ __all__ = [
     "max_value",
     "binary_digits",
     "count_nonzero_bits_binary",
-    "digit_count_table",
-    "popcount_table",
-    "LUT_MAX_WIDTH",
 ]
 
 #: Default digit width used throughout the library.  Eight digits are enough
@@ -60,7 +57,7 @@ DEFAULT_WIDTH = 8
 
 #: Widest word whose per-value counts are tabulated (a width-16 table has
 #: 87,381 CSD entries and 65,536 popcount entries).
-LUT_MAX_WIDTH = 16
+_LUT_MAX_WIDTH = 16
 
 
 def min_value(width: int = DEFAULT_WIDTH) -> int:
@@ -185,21 +182,21 @@ def count_nonzero_digits_array(
 ) -> np.ndarray:
     """Per-element non-zero CSD digit counts for an integer array.
 
-    One lookup per element into :func:`digit_count_table` for widths up to
-    :data:`LUT_MAX_WIDTH`; wider words count their digit planes.
+    One lookup per element into a cached table of the width's domain for
+    widths up to 16; wider words count their digit planes.
 
     Raises:
         ValueError: if a value does not fit in ``width`` CSD digits.
     """
-    if width > LUT_MAX_WIDTH:
+    if width > _LUT_MAX_WIDTH:
         return np.count_nonzero(to_csd_array(values, width), axis=-1)
     values = np.asarray(values).astype(np.int64, copy=False)
     _check_domain(values, width)
-    return digit_count_table(width)[values - min_value(width)]
+    return _digit_count_table(width)[values - min_value(width)]
 
 
 @lru_cache(maxsize=None)
-def digit_count_table(width: int = DEFAULT_WIDTH) -> np.ndarray:
+def _digit_count_table(width: int = DEFAULT_WIDTH) -> np.ndarray:
     """Read-only non-zero CSD digit count of every value in the domain.
 
     Entry ``i`` is the count of ``min_value(width) + i`` (for width 8, the
@@ -259,17 +256,17 @@ def count_nonzero_bits_binary(
 ) -> np.ndarray:
     """Per-element count of set bits in the two's complement representation.
 
-    One lookup per element into :func:`popcount_table` for widths up to
-    :data:`LUT_MAX_WIDTH`; wider words count their bit planes.
+    One lookup per element into a cached popcount table for widths up to
+    16; wider words count their bit planes.
     """
-    if width > LUT_MAX_WIDTH:
+    if width > _LUT_MAX_WIDTH:
         return np.count_nonzero(binary_digits(values, width), axis=-1)
     unsigned = np.asarray(values, dtype=np.int64) & ((1 << width) - 1)
-    return popcount_table(width)[unsigned]
+    return _popcount_table(width)[unsigned]
 
 
 @lru_cache(maxsize=None)
-def popcount_table(width: int = DEFAULT_WIDTH) -> np.ndarray:
+def _popcount_table(width: int = DEFAULT_WIDTH) -> np.ndarray:
     """Read-only set-bit count of every ``width``-bit pattern, built once
     from :func:`binary_digits`."""
     patterns = np.arange(1 << width, dtype=np.int64)

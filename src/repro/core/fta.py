@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .csd import (
+    _LUT_MAX_WIDTH,
     DEFAULT_WIDTH,
-    LUT_MAX_WIDTH,
     count_nonzero_digits_array,
     max_value,
     min_value,
@@ -220,33 +220,6 @@ def _layer_thresholds(counts: np.ndarray, config: FTAConfig) -> np.ndarray:
     return thresholds.astype(np.int64)
 
 
-@lru_cache(maxsize=32)
-def _snap_table(config: FTAConfig) -> Optional[np.ndarray]:
-    """Stacked snap table of one configuration, or ``None`` when untabulable.
-
-    Row ``t`` maps every value of the CSD domain (offset by
-    ``min_value(config.width)``) to its nearest entry of ``T(t)``, built with
-    :func:`nearest_in_table_array`; row 0 is all zeros (threshold 0 zeroes
-    the whole filter).  ``None`` when the width is wider
-    than :data:`~repro.core.csd.LUT_MAX_WIDTH` or some reachable ``T(t)`` is
-    empty for the configured value range (the per-threshold path then raises
-    the query table's error only if a filter actually needs that row).
-    """
-    if config.width > LUT_MAX_WIDTH:
-        return None
-    domain = np.arange(min_value(config.width), max_value(config.width) + 1)
-    top = max(1, min(config.max_threshold, max_phi(config.width)))
-    rows = [np.zeros_like(domain)]
-    try:
-        for threshold in range(1, top + 1):
-            rows.append(_snap_values(domain, threshold, config))
-    except ValueError:
-        return None
-    table = np.stack(rows)
-    table.flags.writeable = False
-    return table
-
-
 def _snap_values(values: np.ndarray, threshold: int, config: FTAConfig) -> np.ndarray:
     """Snap ``values`` to the nearest entry of ``T(threshold)``."""
     return nearest_in_table_array(
@@ -259,6 +232,27 @@ def _snap_values(values: np.ndarray, threshold: int, config: FTAConfig) -> np.nd
     )
 
 
+@lru_cache(maxsize=64)
+def _snap_row(config: FTAConfig, threshold: int) -> np.ndarray:
+    """Read-only snap of every CSD-domain value to ``T(threshold)``.
+
+    Entry ``i`` is :func:`_snap_values` of ``min_value(config.width) + i``;
+    an empty ``T(threshold)`` raises the query table's ``ValueError``.
+    """
+    domain = np.arange(min_value(config.width), max_value(config.width) + 1)
+    row = _snap_values(domain, threshold, config)
+    row.flags.writeable = False
+    return row
+
+
+def _snap_lookup(values: np.ndarray, threshold: int, config: FTAConfig) -> np.ndarray:
+    """:func:`_snap_values` as one lookup per value into :func:`_snap_row`
+    (words wider than the CSD count tables search the query table)."""
+    if config.width > _LUT_MAX_WIDTH:
+        return _snap_values(values, threshold, config)
+    return _snap_row(config, threshold)[values - min_value(config.width)]
+
+
 def approximate_layer(
     weights: np.ndarray, config: Optional[FTAConfig] = None
 ) -> FTAResult:
@@ -267,8 +261,8 @@ def approximate_layer(
     One vectorised pass over the whole layer, equal to stacking
     :func:`approximate_filter` over the filters (the scalar reference,
     pinned exhaustively by the tests): a digit-count lookup per weight, one
-    histogram pass for every filter's threshold, and a lookup per weight in
-    the configuration's stacked snap table.
+    histogram pass for every filter's threshold, and, per distinct
+    threshold, a lookup per weight in that threshold's cached snap row.
 
     Args:
         weights: array of shape ``(num_filters, ...)``; each slice along the
@@ -290,14 +284,10 @@ def approximate_layer(
     flat = weights.reshape(weights.shape[0], -1)
     counts = count_nonzero_digits_array(flat, config.width)
     thresholds = _layer_thresholds(counts, config)
-    table = _snap_table(config)
-    if table is not None:
-        approximated = table[thresholds[:, None], flat - min_value(config.width)]
-    else:
-        approximated = np.zeros_like(flat)
-        for threshold in np.unique(thresholds[thresholds > 0]):
-            rows = thresholds == threshold
-            approximated[rows] = _snap_values(flat[rows], int(threshold), config)
+    approximated = np.zeros_like(flat)
+    for threshold in np.unique(thresholds[thresholds > 0]):
+        rows = thresholds == threshold
+        approximated[rows] = _snap_lookup(flat[rows], int(threshold), config)
     return FTAResult(
         thresholds=thresholds,
         approximated=approximated.reshape(weights.shape),

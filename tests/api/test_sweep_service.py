@@ -147,6 +147,44 @@ class TestShardPlanner:
         plan = ShardPlanner(shards=4).plan(grid)
         assert [s.indices for s in plan.shards] == [(0, 1), (2, 3), (4, 5)]
 
+    def test_non_profiling_single_model_points_chunk_in_grid_order(self):
+        # table2 trains networks and never profiles: its one-model points
+        # keep splitting across shards instead of bundling per model.
+        grid = build_grid(
+            experiments=("table2",),
+            models=("alexnet",),
+            configs=("paper-28nm", "dense-baseline", "paper-28nm-8macro"),
+            seeds=(0,),
+        )
+        plan = ShardPlanner(shards=3).plan(grid)
+        assert [s.indices for s in plan.shards] == [(0,), (1,), (2,)]
+
+    def test_profiling_experiments_are_exactly_those_that_profile(
+        self, monkeypatch
+    ):
+        # The planner bundles a model's cold points only for experiments
+        # whose runner profiles it; pin that set against the runners.
+        import repro.api.experiment as experiment_module
+        from repro.api.experiment import EXPERIMENTS
+
+        calls = []
+        original = experiment_module.profile_model
+
+        def counting(workload, *args, **kw):
+            calls.append(workload.name)
+            return original(workload, *args, **kw)
+
+        monkeypatch.setattr(experiment_module, "profile_model", counting)
+        profiling = set()
+        for spec in EXPERIMENTS.values():
+            if not spec.takes_models or spec.heavy:
+                continue
+            calls.clear()
+            Experiment().run(spec.id, models=["alexnet"])
+            if calls:
+                profiling.add(spec.id)
+        assert profiling == set(sweep_module._PROFILING_EXPERIMENTS)
+
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError, match="shards"):
             ShardPlanner(shards=0)

@@ -2,11 +2,11 @@
 
 INT8 weights have a small domain, so the tables behind the profiling hot
 path are checked value by value rather than by sampling: the CSD digit
-count and popcount tables against the digit-plane conversions, every row
-of every FTA snap table against :func:`nearest_in_table_array` (the snap
+count and popcount tables against the digit-plane conversions, every FTA
+snap row against :func:`nearest_in_table_array` (the snap
 :func:`approximate_filter` uses) one value at a time, and
 the whole-layer :func:`approximate_layer` against stacking the per-filter
-:func:`approximate_filter` reference.
+:func:`approximate_filter` reference at every threshold.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import csd
 from repro.core.fta import (
     FTAConfig,
-    _snap_table,
+    _snap_row,
     approximate_filter,
     approximate_layer,
 )
@@ -36,11 +36,11 @@ MODES = (QueryTableMode.AT_MOST, QueryTableMode.EXACT)
 class TestCountTables:
     def test_domain_is_width_8_csd_range(self):
         assert (DOMAIN[0], DOMAIN[-1]) == (-170, 170)
-        assert csd.digit_count_table(WIDTH).shape == DOMAIN.shape
+        assert csd._digit_count_table(WIDTH).shape == DOMAIN.shape
 
     def test_digit_count_table_matches_scalar_csd(self):
         expected = [csd.count_nonzero_digits(int(v), WIDTH) for v in DOMAIN]
-        assert csd.digit_count_table(WIDTH).tolist() == expected
+        assert csd._digit_count_table(WIDTH).tolist() == expected
         assert csd.count_nonzero_digits_array(DOMAIN).tolist() == expected
 
     def test_digit_counts_match_digit_planes(self):
@@ -52,7 +52,7 @@ class TestCountTables:
     def test_popcount_table_matches_every_8_bit_pattern(self):
         patterns = np.arange(256)
         expected = [bin(int(p)).count("1") for p in patterns]
-        assert csd.popcount_table(WIDTH).tolist() == expected
+        assert csd._popcount_table(WIDTH).tolist() == expected
         signed = patterns - 128  # the same patterns read as two's complement
         planes = np.count_nonzero(csd.binary_digits(signed), axis=-1)
         np.testing.assert_array_equal(
@@ -61,9 +61,9 @@ class TestCountTables:
 
     def test_tables_are_read_only(self):
         with pytest.raises(ValueError):
-            csd.digit_count_table(WIDTH)[0] = 7
+            csd._digit_count_table(WIDTH)[0] = 7
         with pytest.raises(ValueError):
-            csd.popcount_table(WIDTH)[0] = 7
+            csd._popcount_table(WIDTH)[0] = 7
 
     def test_multidimensional_shape_preserved(self):
         values = DOMAIN[:340].reshape(4, 5, 17)
@@ -88,47 +88,40 @@ class TestCountTables:
         assert str(lookup.value) == str(reference.value)
 
 
-class TestSnapTable:
+class TestSnapRows:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("max_threshold", range(0, max_phi(WIDTH) + 1))
-    def test_every_row_matches_the_array_reference(self, mode, max_threshold):
-        config = FTAConfig(max_threshold=max_threshold, table_mode=mode)
-        table = _snap_table(config)
-        top = max(1, max_threshold)
-        assert table.shape == (top + 1, DOMAIN.size)
-        assert not table[0].any()
-        for threshold in range(1, top + 1):
-            expected = [
-                int(nearest_in_table_array(np.array([v]), threshold, mode=mode)[0])
-                for v in DOMAIN
-            ]
-            assert table[threshold].tolist() == expected, threshold
-            scalar = [
-                nearest_in_table(int(v), threshold, width=WIDTH, mode=mode)
-                for v in DOMAIN
-            ]
-            differs = [int(v) for v, a, b in zip(DOMAIN, expected, scalar) if a != b]
-            # The one known divergence of the two references: an exact
-            # table without 0 leaves 0 equidistant from -1 and +1; the array
-            # path (which FTA has always used) picks -1, the scalar path +1.
-            assert differs == ([0] if mode == QueryTableMode.EXACT else [])
+    @pytest.mark.parametrize("threshold", range(1, max_phi(WIDTH) + 1))
+    def test_every_row_matches_the_array_reference(self, mode, threshold):
+        row = _snap_row(FTAConfig(table_mode=mode), threshold)
+        assert row.shape == DOMAIN.shape and not row.flags.writeable
+        expected = [
+            int(nearest_in_table_array(np.array([v]), threshold, mode=mode)[0])
+            for v in DOMAIN
+        ]
+        assert row.tolist() == expected
+        scalar = [
+            nearest_in_table(int(v), threshold, width=WIDTH, mode=mode)
+            for v in DOMAIN
+        ]
+        differs = [int(v) for v, a, b in zip(DOMAIN, expected, scalar) if a != b]
+        # The one known divergence of the two references: an exact table
+        # without 0 leaves 0 equidistant from -1 and +1; the array path
+        # (which FTA has always used) picks -1, the scalar path +1.
+        assert differs == ([0] if mode == QueryTableMode.EXACT else [])
 
     def test_narrowed_range_rows_match(self):
         config = FTAConfig(value_low=-64, value_high=64, max_threshold=3)
-        table = _snap_table(config)
         for threshold in range(1, 4):
             expected = [
                 nearest_in_table(int(v), threshold, low=-64, high=64)
                 for v in DOMAIN
             ]
-            assert table[threshold].tolist() == expected
+            assert _snap_row(config, threshold).tolist() == expected
 
-    def test_untabulable_configs_return_none(self):
-        # T(3) is empty for [-3, 3] in exact mode; width 32 is too wide.
-        assert _snap_table(
-            FTAConfig(max_threshold=3, table_mode="exact", value_low=-3, value_high=3)
-        ) is None
-        assert _snap_table(FTAConfig(width=32)) is None
+    def test_empty_query_table_row_raises(self):
+        config = FTAConfig(table_mode="exact", value_low=-3, value_high=3)
+        with pytest.raises(ValueError, match="empty"):
+            _snap_row(config, 3)
 
 
 def _reference(weights, config=None):
@@ -196,6 +189,21 @@ class TestApproximateLayerEquivalence:
             ]
         )
         _assert_layer_matches_reference(weights, config)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("max_threshold", range(0, max_phi(WIDTH) + 1))
+    def test_every_threshold_snaps_every_domain_value(self, mode, max_threshold):
+        # Filter p holds the whole domain plus a majority of a value with p
+        # non-zero digits, so its mode is p and every domain value is
+        # snapped at threshold 1 (p = 0), p, or the clip.
+        config = FTAConfig(max_threshold=max_threshold, table_mode=mode)
+        majority = [0, 1, 5, 21, 85]  # 0..4 non-zero CSD digits
+        weights = np.stack(
+            [np.concatenate([DOMAIN, np.full(DOMAIN.size + 1, v)]) for v in majority]
+        )
+        result = _assert_layer_matches_reference(weights, config)
+        expected = [1] + [min(p, max_threshold) for p in range(1, 5)]
+        assert result.thresholds.tolist() == expected
 
     def test_one_dimensional_input(self):
         result = _assert_layer_matches_reference(np.array([1, 3, 5, 0, -85]))
