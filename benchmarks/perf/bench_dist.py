@@ -65,7 +65,7 @@ _WORKER_SNIPPET = (
 _VICTIM_SNIPPET = (
     "import os, signal, sys\n"
     "import repro.api.sweep as sweep_module\n"
-    "def lethal(shard, cache_dir=None):\n"
+    "def lethal(shard):\n"
     "    os.kill(os.getpid(), signal.SIGKILL)\n"
     "sweep_module.run_shard = lethal\n"
     "from repro.dist.worker import WorkerConfig, run_worker\n"

@@ -5,10 +5,10 @@ workloads under three dispatch strategies for the same set of cycle-model
 jobs, verifies all three agree bitwise, and writes the measurements to
 ``BENCH_grid.json``:
 
-* ``sessions`` -- the per-config-session dispatch the sweep shard
-  executor used before the fused path existed: one
+* ``sessions`` -- per-config-session dispatch (one session per config,
+  as sweep shards and serve batches run): one
   ``simulate_jobs(..., fuse=False)`` call of the four variant jobs per
-  preset (this is the baseline the fused kernel actually replaced);
+  preset;
 * ``unfused`` -- one flat ``simulate_jobs(..., fuse=False)`` call over
   every (config, profile) job, i.e. the profile replicated once per
   configuration inside a single batch;

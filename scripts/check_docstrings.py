@@ -72,7 +72,6 @@ REQUIRED_SYMBOLS = (
     "repro.sim.engines.list_engines",
     "repro.sim.vectorized.simulate_grid",
     "repro.sim.vectorized.config_knobs",
-    "repro.sim.cycle_model.CycleModel.prime",
     "repro.sim.engines.register_absent_engine",
     "repro.sim.engines.absent_engines",
     "repro.sim.engines.jit.register_jit_engine",
@@ -96,6 +95,14 @@ REQUIRED_SYMBOLS = (
     "repro.store.PackedStoreError",
     "repro.store.PackedStoreLockedError",
     "repro.store.migrate_files_to_packed",
+    "repro.store.ResultStore",
+    "repro.store.FileResultStore",
+    "repro.store.open_store",
+    "repro.api.execution.SessionPool",
+    "repro.api.execution.Execution",
+    "repro.api.execution.execute_points",
+    "repro.api.execution.append_results",
+    "repro.api.execution.merge_key",
     "repro.api.sweep.CACHE_BACKENDS",
     "repro.api.sweep.cache_keys_for_grid",
     "repro.api.sweep.SweepPoint.cache_key",

@@ -1,0 +1,260 @@
+"""The one execution core behind sweep shards, serve batches and workers.
+
+:func:`execute_points` turns a batch of grid points into results: it
+dedupes them by cache key, restores what the :class:`~repro.store.ResultStore`
+already holds in one batched read, merges the remaining single-session
+points of one mergeable experiment into one batched
+:meth:`~repro.api.experiment.Experiment.run` (split back per point,
+bitwise identical to point-at-a-time execution because the vectorized
+kernel is elementwise per layer), falls back to per-point runs when a
+merge fails, returns per-point failures as values, and persists the fresh
+results in one best-effort batched append.
+
+Callers differ only in what surrounds the core: :func:`repro.api.sweep.run_shard`
+(every transport and ``repro worker``) runs it without a store and turns a
+failure into a :class:`~repro.api.sweep.SweepPointError`; the serve daemon
+runs it with its long-lived :class:`SessionPool` and store and turns a
+failure into a ``RunFailedError``.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+import warnings
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+from ..store import PackedStoreLockedError, ResultStore
+from .experiment import EXPERIMENTS, Experiment
+from .results import ExperimentResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .sweep import SweepPoint
+
+__all__ = [
+    "Execution",
+    "SessionPool",
+    "append_results",
+    "execute_points",
+    "merge_key",
+]
+
+#: Experiments whose points may be merged into one batched
+#: ``Experiment.run``: per-model rows are computed independently (and, on
+#: the vectorized engine, elementwise per layer), so the merged run is
+#: bitwise identical to point-at-a-time execution.  The training-based
+#: experiments are excluded defensively.
+_MERGEABLE_EXPERIMENTS = frozenset(
+    spec.id
+    for spec in EXPERIMENTS.values()
+    if spec.takes_models and not spec.aggregates_models and not spec.heavy
+)
+
+#: A point's result, or the exception its run raised.
+Outcome = Union[ExperimentResult, Exception]
+
+
+def merge_key(point: "SweepPoint") -> Optional[Tuple[str, str]]:
+    """Batch-merge bucket of a point, or ``None`` when not mergeable.
+
+    Mergeable points name models of a mergeable experiment; the bucket
+    key includes every non-model parameter so only runs with identical
+    extra parameters are batched together.
+    """
+    if point.experiment not in _MERGEABLE_EXPERIMENTS:
+        return None
+    models = point.params.get("models")
+    if not isinstance(models, list) or not models:
+        return None
+    rest = {k: v for k, v in point.params.items() if k != "models"}
+    canonical = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+    return (point.experiment, canonical)
+
+
+class SessionPool:
+    """One warm :class:`~repro.api.experiment.Experiment` per
+    (config, seed, engine).
+
+    Same-(seed, engine) sessions are cloned via
+    :meth:`~repro.api.experiment.Experiment.with_config`, so they share one
+    workload-profile cache and a grid over hardware configs profiles each
+    workload once.  Thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._sessions: Dict[Tuple[str, int, str], Experiment] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """Number of sessions created so far."""
+        return len(self._sessions)
+
+    def get(self, config: str, seed: int, engine: str) -> Experiment:
+        """The session of (config, seed, engine), created on first use."""
+        key = (config, seed, engine)
+        with self._lock:
+            session = self._sessions.get(key)
+            if session is None:
+                for (_, other_seed, other_engine), other in self._sessions.items():
+                    if other_seed == seed and other_engine == engine:
+                        session = other.with_config(config)
+                        break
+                else:
+                    session = Experiment(config=config, seed=seed, engine=engine)
+                self._sessions[key] = session
+            return session
+
+
+@dataclass(frozen=True)
+class Execution:
+    """What :func:`execute_points` returns.
+
+    Attributes:
+        results: ``{cache_key: result or the exception its run raised}``
+            for every distinct key of the batch.
+        hits: the keys restored from the store (no simulation).
+        merge_fallbacks: merged runs that failed and were re-run point by
+            point.
+        append_skipped: store appends skipped because another process held
+            the writer lock (0 or 1).
+    """
+
+    results: Dict[str, Outcome]
+    hits: FrozenSet[str]
+    merge_fallbacks: int = 0
+    append_skipped: int = 0
+
+
+def append_results(
+    store: ResultStore,
+    entries: Sequence[Tuple[str, ExperimentResult]],
+    what: str,
+) -> bool:
+    """Best-effort ``store.append_many``: a concurrent writer holding the
+    pack lock must not fail the run, so the append is skipped with a
+    :class:`RuntimeWarning` instead.  Returns whether it was written."""
+    try:
+        store.append_many(entries)
+    except PackedStoreLockedError as error:
+        warnings.warn(
+            f"skipping packed-store append for {what} ({error}); the "
+            "results stay uncached",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
+    return True
+
+
+def _run_single(session: Experiment, point: "SweepPoint") -> Outcome:
+    """One point, one ``Experiment.run``; a failure becomes a value."""
+    try:
+        return session.run(point.experiment, **point.params)
+    except Exception as error:
+        return error
+
+
+def _run_merged(
+    session: Experiment, members: Sequence[Tuple[str, "SweepPoint"]]
+) -> Optional[Dict[str, ExperimentResult]]:
+    """Run a bucket as one batched call and split the rows back per point
+    (by each point's model count), or ``None`` when the merged run fails."""
+    first = members[0][1]
+    counts = [len(point.params["models"]) for _, point in members]
+    params = dict(first.params)
+    params["models"] = [
+        model for _, point in members for model in point.params["models"]
+    ]
+    try:
+        combined = session.run(first.experiment, **params)
+        if len(combined.rows) != len(params["models"]):
+            raise ValueError(
+                f"merged run returned {len(combined.rows)} rows for "
+                f"{len(params['models'])} models"
+            )
+    except Exception:
+        return None
+    resolved = list(combined.params["models"])
+    split: Dict[str, ExperimentResult] = {}
+    offset = 0
+    for (key, _), count in zip(members, counts):
+        point_params = dict(combined.params)
+        point_params["models"] = resolved[offset : offset + count]
+        split[key] = ExperimentResult(
+            experiment=combined.experiment,
+            rows=combined.rows[offset : offset + count],
+            params=point_params,
+            seed=combined.seed,
+            config=combined.config,
+        )
+        offset += count
+    return split
+
+
+def execute_points(
+    points: Sequence["SweepPoint"],
+    sessions: SessionPool,
+    store: Optional[ResultStore] = None,
+) -> Execution:
+    """Execute (or restore) a batch of grid points.
+
+    Steps: dedupe by cache key; one ``store.get_many`` for every distinct
+    key; bucket the misses by (session, merge key); one merged run per
+    bucket of several mergeable points, falling back to per-point runs if
+    it fails; per-point failures kept as values; one best-effort
+    ``store.append_many`` of the fresh results.
+
+    Args:
+        points: the grid points (duplicates are computed once).
+        sessions: the warm sessions points run on.
+        store: result store probed before and filled after execution
+            (``None`` runs everything and persists nothing).
+    """
+    unique: Dict[str, "SweepPoint"] = {}
+    for point in points:
+        unique.setdefault(point.cache_key(), point)
+    results: Dict[str, Outcome] = {}
+    if store is not None and unique:
+        results.update(store.get_many(unique))
+    hits = frozenset(results)
+
+    buckets: Dict[Tuple, List[Tuple[str, "SweepPoint"]]] = {}
+    for key, point in unique.items():
+        if key in hits:
+            continue
+        merge = merge_key(point)
+        bucket = (point.config, point.seed, point.engine, merge or key)
+        buckets.setdefault(bucket, []).append((key, point))
+    fallbacks = 0
+    for members in buckets.values():
+        first = members[0][1]
+        session = sessions.get(first.config, first.seed, first.engine)
+        if len(members) > 1:
+            merged = _run_merged(session, members)
+            if merged is not None:
+                results.update(merged)
+                continue
+            fallbacks += 1  # localise the failure point by point
+        for key, point in members:
+            results[key] = _run_single(session, point)
+
+    skipped = 0
+    if store is not None:
+        fresh = [
+            (key, result)
+            for key, result in results.items()
+            if key not in hits and isinstance(result, ExperimentResult)
+        ]
+        if fresh and not append_results(store, fresh, f"{len(fresh)} results"):
+            skipped = 1
+    return Execution(results, hits, fallbacks, skipped)

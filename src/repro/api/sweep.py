@@ -13,9 +13,10 @@ that fan-out into a small *service*:
   (config, seed, engine) -- so one worker session amortises configuration
   construction and profile caching across a whole shard -- and chunked to
   the requested shard count;
-* :func:`run_shard` executes one shard: cached points are deserialised,
-  cold single-model points of the same experiment are merged into **one
-  batched** ``Experiment.run`` call that rides the vectorized engine's
+* :func:`run_shard` executes one shard through the execution core
+  (:func:`repro.api.execution.execute_points`): single-model points of the
+  same experiment are merged into **one batched** ``Experiment.run`` call
+  that rides the vectorized engine's
   :func:`repro.sim.vectorized.simulate_jobs` shard-sized kernel, and the
   per-point results are split back out (bitwise identical to point-at-a-time
   execution -- the vectorized kernel is elementwise per layer);
@@ -30,7 +31,10 @@ that fan-out into a small *service*:
   shared ``sweep_dir``; every transport produces byte-identical results;
   the historical ``executor=`` knob remains as a deprecated alias) --
   and, when a ``journal`` path is given, streams every finished shard to
-  an append-only ``sweep.jsonl`` (:class:`SweepJournal`).  An
+  an append-only ``sweep.jsonl`` (:class:`SweepJournal`).  The coordinator
+  owns the result store (:func:`repro.store.open_store`): it restores warm
+  points in one batched read and persists each finished shard in one
+  batched append, so workers never touch it.  An
   interrupted sweep re-invoked with
   ``resume=True`` restores journaled points without recomputing them and
   reproduces the uninterrupted run's ``results`` byte-for-byte (the whole
@@ -38,11 +42,11 @@ that fan-out into a small *service*:
   without a pre-populated cache; the hit/miss counters report the work
   each invocation actually performed).
 
-The on-disk point cache is keyed by a content hash of the point (experiment
-id, canonical parameters, seed, engine, schema/package versions and the full
-hardware configuration digest); entries are written atomically (unique temp
-file + ``os.replace``) and unreadable entries are treated as misses with a
-warning instead of poisoning later runs.
+The result store is keyed by a content hash of the point (experiment id,
+canonical parameters, seed, engine, schema/package versions and the full
+hardware configuration digest); entries are written atomically and
+unreadable entries are treated as misses with a warning instead of
+poisoning later runs.
 
 Example::
 
@@ -62,7 +66,6 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -76,7 +79,7 @@ from typing import (
     Union,
 )
 
-from ..arch.config import DBPIMConfig, SPARSITY_VARIANTS
+from ..arch.config import DBPIMConfig
 from ..dist.locks import PidFileLock, pid_alive
 from ..dist.transport import (
     DEFAULT_TRANSPORT,
@@ -86,9 +89,15 @@ from ..dist.transport import (
 )
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import get_engine, resolve_cycle_model_engine
-from ..store import PackedResultStore, PackedStoreLockedError
+from ..store import (
+    CACHE_BACKENDS,
+    DEFAULT_CACHE_BACKEND,
+    ResultStore,
+    open_store,
+)
 from .configs import config_digest, get_config, register_config
-from .experiment import EXPERIMENTS, Experiment, get_experiment_spec
+from .execution import SessionPool, append_results, execute_points
+from .experiment import get_experiment_spec
 from .results import (
     SCHEMA_VERSION,
     ExperimentResult,
@@ -146,20 +155,6 @@ EXECUTORS = ("serial", "thread", "process")
 #: ``transport="process"`` for cold CPU-bound grids on multi-core
 #: machines.
 DEFAULT_EXECUTOR = "thread"
-
-#: Selectable sweep cache backends: ``"files"`` is the legacy layout (one
-#: atomic ``{cache_key}.json`` per point), ``"packed"`` is the append-only
-#: single-artifact store (:class:`repro.store.PackedResultStore`) whose
-#: warm path is one index probe plus one batched sequential read for the
-#: whole grid.  Both are keyed by the same content-hash cache keys, so a
-#: directory can be migrated in place
-#: (:func:`repro.store.migrate_files_to_packed`) and the backends produce
-#: byte-identical :class:`~repro.api.results.SweepResult` s.
-CACHE_BACKENDS = ("files", "packed")
-
-#: Cache backend used when none is requested (the legacy per-file layout).
-DEFAULT_CACHE_BACKEND = "files"
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -411,82 +406,30 @@ def _get_workload(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Point cache (atomic writes, corruption-tolerant reads)
+# Point execution
 # ---------------------------------------------------------------------------
-def _cache_path(point: SweepPoint, cache_dir: Union[str, Path]) -> Path:
-    """On-disk location of one point's cached result."""
-    return Path(cache_dir) / f"{point.cache_key()}.json"
-
-
-def _load_cached(
-    point: SweepPoint, cache_dir: Optional[Union[str, Path]]
-) -> Optional[ExperimentResult]:
-    """Deserialise a point's cached result, or ``None`` on a miss.
-
-    A truncated or otherwise unreadable entry must never brick the sweep:
-    it is reported with a :class:`RuntimeWarning` and treated as a miss, so
-    the point is recomputed and the entry atomically overwritten.  The
-    entry is opened directly -- no ``exists()`` pre-check -- so a hit costs
-    one filesystem lookup instead of two and there is no window for the
-    entry to vanish between the check and the open.
-    """
-    if cache_dir is None:
-        return None
-    path = _cache_path(point, cache_dir)
-    try:
-        return ExperimentResult.load(path)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        warnings.warn(
-            f"ignoring unreadable sweep-cache entry {path} "
-            f"({type(error).__name__}: {error}); recomputing the point",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-
-
-def _store_cached(
-    point: SweepPoint,
-    result: ExperimentResult,
-    cache_dir: Optional[Union[str, Path]],
-) -> None:
-    """Write a point's result to the cache (atomic temp-file + replace).
-
-    The cache directory is created lazily, only when a write actually
-    fails for lack of it: :func:`run_sweep` creates the directory once up
-    front, so the per-point write path stays a single temp-file+replace
-    instead of paying an extra ``mkdir`` stat per point.
-    """
-    if cache_dir is None:
-        return
-    path = _cache_path(point, cache_dir)
-    try:
-        result.save(path)
-    except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        result.save(path)
-
-
 def run_point(
     point: SweepPoint, cache_dir: Optional[Union[str, Path]] = None
 ) -> Tuple[ExperimentResult, bool]:
-    """Execute (or load) one grid point.
+    """Execute (or load) one grid point through the execution core.
+
+    Args:
+        point: the grid point.
+        cache_dir: per-file result cache probed first and filled after
+            (``None`` disables it).
 
     Returns:
         ``(result, cache_hit)`` -- ``cache_hit`` is True when the result was
         deserialised from the on-disk cache without running any simulation.
     """
-    cached = _load_cached(point, cache_dir)
-    if cached is not None:
-        return cached, True
-    session = Experiment(
-        config=point.config, seed=point.seed, engine=point.engine
+    execution = execute_points(
+        (point,), SessionPool(), open_store(cache_dir)
     )
-    result = session.run(point.experiment, **point.params)
-    _store_cached(point, result, cache_dir)
-    return result, False
+    key = point.cache_key()
+    result = execution.results[key]
+    if isinstance(result, Exception):
+        raise result
+    return result, key in execution.hits
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +504,19 @@ class ShardPlanner:
        re-run does not occupy process workers with deserialisation;
     3. within each temperature, points are grouped by ``(seed, engine)``
        -- configurations deliberately stay *mixed* inside one group, so
-       cold points that differ only in config can ride the config-fused
-       grid kernel (:func:`repro.sim.vectorized.simulate_grid`) of one
-       worker, sharing one workload-profile cache across the per-config
-       sessions -- and each group is chunked into shards of roughly
-       ``total / shards`` points.  Cold groups are chunked at *profile*
-       boundaries: every cold single-model point of one model whose
-       experiment profiles it lands in one shard, so each distinct
+       cold points that differ only in config share one worker's
+       workload-profile cache across its per-config sessions
+       (:class:`~repro.api.execution.SessionPool`) -- and each group is
+       chunked into shards of roughly ``total / shards`` points.  Cold
+       groups are chunked at *profile* boundaries: every cold
+       single-model point of one model whose experiment profiles it
+       lands in one shard, so each distinct
        workload profile is computed once per sweep (see
        :func:`_profile_bundles`).  Every other point chunks in grid order.
 
-    The warm/cold split costs ONE batched cache probe for the whole grid,
-    not one ``stat`` per point: the packed backend intersects the grid's
-    keys with the store's in-memory index
-    (:meth:`repro.store.PackedResultStore.probe`), the per-file backend
-    lists the cache directory once and matches key stems against it.
+    The warm/cold split costs ONE batched
+    :meth:`~repro.store.ResultStore.probe` for the whole grid, not one
+    ``stat`` per point.
 
     Args:
         cache_dir: the sweep's on-disk result cache (``None`` disables the
@@ -588,6 +529,10 @@ class ShardPlanner:
         cache_backend: ``"files"`` (legacy per-file cache) or ``"packed"``
             (append-only :class:`repro.store.PackedResultStore`); see
             :data:`CACHE_BACKENDS`.
+
+    Attributes:
+        store: the :class:`~repro.store.ResultStore` of ``cache_dir``
+            (``None`` without one).
     """
 
     def __init__(
@@ -601,33 +546,9 @@ class ShardPlanner:
             raise ValueError("shards must be positive")
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if cache_backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {cache_backend!r}; expected one of "
-                f"{CACHE_BACKENDS}"
-            )
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.store: Optional[ResultStore] = open_store(cache_dir, cache_backend)
         self.shards = shards
         self.max_workers = max_workers
-        self.cache_backend = cache_backend
-        self.store: Optional[PackedResultStore] = (
-            PackedResultStore(self.cache_dir)
-            if cache_backend == "packed" and self.cache_dir is not None
-            else None
-        )
-
-    def _probe_cache(self, keys: Sequence[str]) -> frozenset:
-        """The subset of ``keys`` with a cache entry -- one batched probe."""
-        if self.cache_dir is None:
-            return frozenset()
-        if self.store is not None:
-            return self.store.probe(keys)
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return frozenset()
-        stems = {name[:-5] for name in names if name.endswith(".json")}
-        return frozenset(key for key in keys if key in stems)
 
     def _target_shards(self) -> int:
         """The shard count used when none was requested explicitly."""
@@ -651,10 +572,12 @@ class ShardPlanner:
         """
         keys = cache_keys_for_grid(grid)
         known = frozenset(journaled_keys or ())
-        present = self._probe_cache(keys)
+        present = (
+            self.store.probe(keys) if self.store is not None else frozenset()
+        )
         journaled: List[int] = []
         # (warm, seed, engine) -> [(grid index, point)]; configs mix inside
-        # a group so one worker can fuse the config axis.
+        # a group so one worker's per-config sessions share profiles.
         groups: Dict[Tuple[bool, int, str], List[Tuple[int, SweepPoint]]] = {}
         totals = {True: 0, False: 0}
         for index, (point, key) in enumerate(zip(grid, keys)):
@@ -701,18 +624,6 @@ class ShardPlanner:
 # ---------------------------------------------------------------------------
 # Shard execution (runs inside worker threads / processes)
 # ---------------------------------------------------------------------------
-#: Experiments whose single-model points may be merged into one batched
-#: ``Experiment.run`` call inside a shard: per-model rows are computed
-#: independently (and, on the vectorized engine, elementwise per layer), so
-#: the merged run is bitwise identical to point-at-a-time execution.  The
-#: training-based experiments are excluded defensively.
-_MERGEABLE_EXPERIMENTS = frozenset(
-    spec.id
-    for spec in EXPERIMENTS.values()
-    if spec.takes_models and not spec.aggregates_models and not spec.heavy
-)
-
-
 #: Experiments whose runner profiles every requested workload
 #: (``Experiment.profile``).  Only their cold points are bundled per model;
 #: bundling anything else (e.g. the training-based ``table2``) would only
@@ -765,221 +676,26 @@ def _chunk_bundles(
         yield sorted(chunk, key=lambda member: member[0])
 
 
-def _session_key(point: SweepPoint) -> Tuple[str, int, str]:
-    """The (config, seed, engine) triple one worker session is built from."""
-    return (point.config, point.seed, point.engine)
-
-
-#: Experiments whose runner consumes ``CycleModel.run_batch`` over the full
-#: Fig. 7 variant set per model -- the shape the cross-config fused prime
-#: pass precomputes.  Priming any other experiment would burn cycles on
-#: results its runner never asks the cycle model for.
-_PRIMEABLE_EXPERIMENTS = frozenset({"fig7"})
-
-
-def _prime_key(point: SweepPoint) -> Optional[Tuple[str, str, str, int, str]]:
-    """Cross-config fuse bucket of a point, or ``None`` when not fusible.
-
-    Points that share everything *except* the hardware configuration --
-    same primeable experiment, same single model, same non-model
-    parameters, same seed, same batch-capable engine -- evaluate one
-    workload profile under many configs, which is exactly the shape
-    :func:`repro.sim.vectorized.simulate_grid` fuses into one pass.
-    """
-    if point.experiment not in _PRIMEABLE_EXPERIMENTS:
-        return None
-    merged = _merge_key(point)
-    if merged is None:
-        return None
-    if not get_engine(point.engine).batch:
-        return None
-    return (
-        point.experiment,
-        merged[1],
-        str(point.params["models"][0]),
-        point.seed,
-        point.engine,
-    )
-
-
-def _merge_key(point: SweepPoint) -> Optional[Tuple[str, str]]:
-    """Batch-merge bucket of a point, or ``None`` when not mergeable.
-
-    Mergeable points are single-model points of a mergeable experiment;
-    the bucket key includes every non-model parameter so only runs with
-    identical extra parameters are batched together.
-    """
-    if point.experiment not in _MERGEABLE_EXPERIMENTS:
-        return None
-    models = point.params.get("models")
-    if not isinstance(models, list) or len(models) != 1:
-        return None
-    rest = {k: v for k, v in point.params.items() if k != "models"}
-    canonical = json.dumps(rest, sort_keys=True, separators=(",", ":"))
-    return (point.experiment, canonical)
-
-
-def _run_single(
-    session: Experiment,
-    index: int,
-    point: SweepPoint,
-    cache_dir: Optional[Union[str, Path]],
-) -> Tuple[int, ExperimentResult, bool]:
-    """Execute one cold point on an existing session, wrapping failures."""
-    try:
-        result = session.run(point.experiment, **point.params)
-    except Exception as error:
-        raise SweepPointError(
-            f"sweep point failed: {point.describe()}: "
-            f"{type(error).__name__}: {error}",
-            point,
-        ) from error
-    _store_cached(point, result, cache_dir)
-    return (index, result, False)
-
-
-def _run_merged(
-    session: Experiment,
-    members: Sequence[Tuple[int, SweepPoint]],
-    cache_dir: Optional[Union[str, Path]],
-) -> List[Tuple[int, ExperimentResult, bool]]:
-    """Execute a bucket of mergeable single-model points as one batch.
-
-    The models are concatenated into one ``Experiment.run`` call (one
-    vectorized cycle-model pass for the whole bucket) and the returned rows
-    are split back into per-point results identical to individual runs.
-    Any failure falls back to point-at-a-time execution so the offending
-    point is identified precisely.
-    """
-    first = members[0][1]
-    models = [point.params["models"][0] for _, point in members]
-    try:
-        merged_params = dict(first.params)
-        merged_params["models"] = models
-        combined = session.run(first.experiment, **merged_params)
-        if len(combined.rows) != len(members):
-            raise ValueError(
-                f"merged run returned {len(combined.rows)} rows for "
-                f"{len(members)} points"
-            )
-    except Exception:
-        # Localise the failure (and keep healthy points progressing).
-        return [
-            _run_single(session, index, point, cache_dir)
-            for index, point in members
-        ]
-    outcomes: List[Tuple[int, ExperimentResult, bool]] = []
-    for (index, point), row in zip(members, combined.rows):
-        params = dict(combined.params)
-        params["models"] = list(point.params["models"])
-        result = ExperimentResult(
-            experiment=combined.experiment,
-            rows=(row,),
-            params=params,
-            seed=combined.seed,
-            config=combined.config,
-        )
-        _store_cached(point, result, cache_dir)
-        outcomes.append((index, result, False))
-    return outcomes
-
-
-def _prime_sessions(
-    pending: Sequence[Tuple[int, SweepPoint]],
-    get_session,
-) -> None:
-    """Precompute cross-config cycle-model results through the fused grid.
-
-    Cold points that differ only in hardware configuration (see
-    :func:`_prime_key`) evaluate one workload profile under many configs.
-    Instead of letting each per-config session recompute its slice, a
-    single :meth:`~repro.sim.cycle_model.CycleModel.run_batch` call with an
-    explicit cross-config grid rides
-    :func:`repro.sim.vectorized.simulate_grid` -- one fused 2-D pass, no
-    per-config profile copies -- and each session is primed with its slice
-    (served, byte-identically, when the point later runs).  Any failure
-    here is non-fatal: priming is a pure performance hint, the normal
-    per-point path recomputes whatever was not primed.
-    """
-    groups: Dict[Tuple, List[SweepPoint]] = {}
-    for _, point in pending:
-        key = _prime_key(point)
-        if key is not None:
-            groups.setdefault(key, []).append(point)
-    for (_, _, model, seed, engine), points in groups.items():
-        config_names: List[str] = []
-        for point in points:
-            if point.config not in config_names:
-                config_names.append(point.config)
-        if len(config_names) < 2:
-            continue
-        try:
-            sessions = [
-                get_session(name, seed, engine) for name in config_names
-            ]
-            base = sessions[0]
-            # Sessions profiling with a different IPU group size own a
-            # different profile object; priming them from the base profile
-            # would never be served (identity-checked), so skip them.
-            sessions = [
-                session
-                for session in sessions
-                if session.input_group == base.input_group
-            ]
-            if len(sessions) < 2:
-                continue
-            profile = base.profile(model)
-            jobs = [
-                (profile, variant)
-                for _ in sessions
-                for variant in SPARSITY_VARIANTS
-            ]
-            configs = [
-                session.config
-                for session in sessions
-                for _ in SPARSITY_VARIANTS
-            ]
-            performances = base.cycle_model.run_batch(jobs, configs=configs)
-            stride = len(SPARSITY_VARIANTS)
-            for position, session in enumerate(sessions):
-                start = position * stride
-                session.cycle_model.prime(
-                    jobs[start : start + stride],
-                    performances[start : start + stride],
-                )
-        except Exception:
-            continue  # priming is best-effort; points recompute normally
-
-
-def run_shard(
-    shard: SweepShard, cache_dir: Optional[Union[str, Path]] = None
-) -> List[Tuple[int, ExperimentResult, bool]]:
+def run_shard(shard: SweepShard) -> List[Tuple[int, ExperimentResult, bool]]:
     """Execute one shard in the current process.
 
-    This is the worker entry point of every executor backend (it is a
-    module-level function so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle it).  Cached points are deserialised first; the remaining
-    cold points are grouped by (config, seed, engine) onto one
-    :class:`~repro.api.experiment.Experiment` session each -- same-(seed,
-    engine) sessions cloned via
-    :meth:`~repro.api.experiment.Experiment.with_config` so they share one
-    workload-profile cache -- and mergeable single-model points ride one
-    batched vectorized call per experiment (see
-    :func:`repro.sim.vectorized.simulate_jobs`).  Before the per-session
-    loop, points differing only in configuration are precomputed together
-    through the config-fused grid kernel
-    (:func:`repro.sim.vectorized.simulate_grid`) and their sessions primed
-    with the byte-identical slices (see :func:`_prime_sessions`).
+    This is the worker entry point of every transport and of ``repro
+    worker`` (it is a module-level function so
+    :class:`~concurrent.futures.ProcessPoolExecutor` can pickle it).  It
+    registers the shard's shipped configurations, then runs its points
+    through :func:`repro.api.execution.execute_points` on a fresh
+    :class:`~repro.api.execution.SessionPool` with no result store -- the
+    coordinator owns the store.
 
     Args:
         shard: the shard to execute (see :class:`ShardPlanner`).
-        cache_dir: the sweep's on-disk result cache (``None`` disables it).
 
     Returns:
-        ``(grid index, result, cache_hit)`` triples, sorted by grid index.
+        ``(grid index, result, False)`` triples, sorted by grid index.
 
     Raises:
-        SweepPointError: when a point fails; identifies the offending point.
+        SweepPointError: for the first failed point in grid order; chains
+            the point's exception.
     """
     for name, config in shard.configs:
         try:
@@ -992,51 +708,19 @@ def run_shard(
             # parent overrode, which a spawn-started worker would otherwise
             # silently resolve to the built-in contents).
             register_config(name, config, overwrite=True)
+    execution = execute_points(shard.points, SessionPool())
     outcomes: List[Tuple[int, ExperimentResult, bool]] = []
-    pending: List[Tuple[int, SweepPoint]] = []
-    for index, point in zip(shard.indices, shard.points):
-        cached = _load_cached(point, cache_dir)
-        if cached is not None:
-            outcomes.append((index, cached, True))
-        else:
-            pending.append((index, point))
-
-    sessions: Dict[Tuple[str, int, str], List[Tuple[int, SweepPoint]]] = {}
-    for index, point in pending:
-        sessions.setdefault(_session_key(point), []).append((index, point))
-
-    # One Experiment per (config, seed, engine); same-(seed, engine)
-    # sessions are cloned via with_config so they share one profile cache.
-    session_cache: Dict[Tuple[str, int, str], Experiment] = {}
-
-    def _get_session(config: str, seed: int, engine: str) -> Experiment:
-        key = (config, seed, engine)
-        session = session_cache.get(key)
-        if session is None:
-            for (_, other_seed, other_engine), other in session_cache.items():
-                if other_seed == seed and other_engine == engine:
-                    session = other.with_config(config)
-                    break
-            else:
-                session = Experiment(config=config, seed=seed, engine=engine)
-            session_cache[key] = session
-        return session
-
-    _prime_sessions(pending, _get_session)
-    for (config, seed, engine), members in sessions.items():
-        session = _get_session(config, seed, engine)
-        buckets: Dict[Optional[Tuple[str, str]], List[Tuple[int, SweepPoint]]] = {}
-        for index, point in members:
-            buckets.setdefault(_merge_key(point), []).append((index, point))
-        for merge_key, bucket in buckets.items():
-            if merge_key is not None and len(bucket) > 1:
-                outcomes.extend(_run_merged(session, bucket, cache_dir))
-            else:
-                for index, point in bucket:
-                    outcomes.append(
-                        _run_single(session, index, point, cache_dir)
-                    )
-    outcomes.sort(key=lambda outcome: outcome[0])
+    for index, point in sorted(
+        zip(shard.indices, shard.points), key=lambda member: member[0]
+    ):
+        result = execution.results[point.cache_key()]
+        if isinstance(result, Exception):
+            raise SweepPointError(
+                f"sweep point failed: {point.describe()}: "
+                f"{type(result).__name__}: {result}",
+                point,
+            ) from result
+        outcomes.append((index, result, False))
     return outcomes
 
 
@@ -1151,7 +835,7 @@ class SweepJournal:
         self._lock.release()
 
     def load(
-        self, store: Optional[PackedResultStore] = None
+        self, store: Optional[ResultStore] = None
     ) -> Dict[str, Tuple[ExperimentResult, bool]]:
         """Read the journal into ``{cache_key: (result, cache_hit)}``.
 
@@ -1160,9 +844,9 @@ class SweepJournal:
         (harmless: identical keys imply identical results).
 
         Args:
-            store: the packed result store slim ``"point-ref"`` records
+            store: the result store slim ``"point-ref"`` records
                 resolve against, in one batched
-                :meth:`~repro.store.PackedResultStore.get_many` read.
+                :meth:`~repro.store.ResultStore.get_many` read.
                 Refs that cannot be resolved (no store given, or the
                 record is gone/damaged) are skipped with a warning -- the
                 points simply recompute.
@@ -1459,15 +1143,14 @@ def run_sweep(
     transport_obj = _create_transport(
         transport_name, sweep_dir, transport_options
     )
-    if cache_backend not in CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {cache_backend!r}; expected one of "
-            f"{CACHE_BACKENDS}"
-        )
+    planner = ShardPlanner(
+        cache_dir=cache_dir,
+        shards=shards,
+        max_workers=max_workers,
+        cache_backend=cache_backend,
+    )
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
-    if max_workers is not None and max_workers <= 0:
-        raise ValueError("max_workers must be positive")
     started = time.perf_counter()
     grid = build_grid(
         experiments=experiments,
@@ -1487,13 +1170,10 @@ def run_sweep(
             grid=grid,
             run_journal=run_journal,
             resume=resume,
-            cache_dir=cache_dir,
-            shards=shards,
-            max_workers=max_workers,
+            planner=planner,
             transport_obj=transport_obj,
             transport_name=transport_name,
             started=started,
-            cache_backend=cache_backend,
         )
     finally:
         if run_journal is not None:
@@ -1504,21 +1184,19 @@ def _run_sweep_locked(
     grid: List[SweepPoint],
     run_journal: Optional[SweepJournal],
     resume: bool,
-    cache_dir: Optional[Union[str, Path]],
-    shards: Optional[int],
-    max_workers: Optional[int],
+    planner: ShardPlanner,
     transport_obj: ShardTransport,
     transport_name: str,
     started: float,
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
 ) -> SweepResult:
-    """Body of :func:`run_sweep`, run while holding the journal lock."""
-    planner = ShardPlanner(
-        cache_dir=cache_dir,
-        shards=shards,
-        max_workers=max_workers,
-        cache_backend=cache_backend,
-    )
+    """Body of :func:`run_sweep`, run while holding the journal lock.
+
+    The coordinator owns the result store for every backend and
+    transport: it restores every warm point through ONE batched
+    ``get_many``, hands only cold shards to the transport (workers run
+    store-less), and persists each finished shard with one
+    ``append_many``.
+    """
     store = planner.store
     restored: Dict[str, Tuple[ExperimentResult, bool]] = {}
     if run_journal is not None and resume:
@@ -1530,20 +1208,6 @@ def _run_sweep_locked(
         outcomes[index] = restored[plan.cache_keys[index]]
     if run_journal is not None:
         run_journal.start(resume=resume)
-    if cache_dir is not None and store is None:
-        # Per-file backend: create the cache directory once up front so the
-        # per-point write path stays mkdir-free (see _store_cached).
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-
-    # Distributed transports run their workers cache-less (the cache
-    # directory may not even exist on the worker's host, and the packed
-    # backend has a single-writer rule); the coordinator persists merged
-    # results itself.  For the per-file backend that means writing each
-    # cold result here in _finish; the packed backend already persists
-    # coordinator-side via store.append_many.
-    persist_files = (
-        transport_obj.distributed and store is None and cache_dir is not None
-    )
 
     def _finish(
         points_by_index: Mapping[int, SweepPoint],
@@ -1552,17 +1216,12 @@ def _run_sweep_locked(
     ) -> None:
         """Record one finished batch: fill outcomes, persist, journal.
 
-        A "batch" is one executed shard -- or, on the packed backend, the
-        whole warm restore at once, so 10k warm points cost one store
-        append (a no-op), one ``locate`` and ONE fsynced journal write
-        instead of one per shard.
+        A "batch" is one executed shard -- or the whole warm restore at
+        once, so 10k warm points cost one store append (a no-op), one
+        ``locate`` and ONE fsynced journal write instead of one per shard.
         """
         for index, result, hit in batch_outcomes:
             outcomes[index] = (result, hit)
-        if persist_files:
-            for index, result, hit in batch_outcomes:
-                if not hit:
-                    _store_cached(points_by_index[index], result, cache_dir)
         locations = None
         if store is not None:
             fresh = [
@@ -1570,18 +1229,9 @@ def _run_sweep_locked(
                 for index, result, hit in batch_outcomes
                 if not hit
             ]
-            try:
-                store.append_many(fresh)
-            except PackedStoreLockedError as error:
-                # Caching is best-effort: a concurrent writer holding the
-                # pack lock must not fail the sweep.  The journal falls
-                # back to full records for exactly these points.
-                warnings.warn(
-                    f"skipping packed-store append for {label} "
-                    f"({error}); journaling the results in full instead",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            if fresh:
+                # A skipped append journals these points in full instead.
+                append_results(store, fresh, label)
             if run_journal is not None:
                 locations = store.locate(
                     plan.cache_keys[index] for index, _, _ in batch_outcomes
@@ -1610,78 +1260,54 @@ def _run_sweep_locked(
             f"shard {shard.index}",
         )
 
-    if store is not None:
-        # Packed backend: the parent restores every warm point through ONE
-        # batched sequential store read; only cold shards go to workers,
-        # and they run cache-less (the parent owns the single pack writer).
-        exec_shards = tuple(s for s in plan.shards if not s.warm)
-        worker_cache_dir: Optional[Union[str, Path]] = None
-        warm_shards = [s for s in plan.shards if s.warm]
-        if warm_shards:
-            warm_points: Dict[int, SweepPoint] = {
-                index: point
-                for shard in warm_shards
-                for index, point in zip(shard.indices, shard.points)
-            }
-            fetched = store.get_many(
-                plan.cache_keys[index] for index in warm_points
+    exec_shards = tuple(s for s in plan.shards if not s.warm)
+    warm_points: Dict[int, SweepPoint] = {
+        index: point
+        for shard in plan.shards
+        if shard.warm
+        for index, point in zip(shard.indices, shard.points)
+    }
+    if warm_points:  # only a store makes points warm
+        fetched = store.get_many(
+            plan.cache_keys[index] for index in warm_points
+        )
+        hits: List[Tuple[int, ExperimentResult, bool]] = []
+        lost: List[Tuple[int, SweepPoint]] = []
+        for index, point in warm_points.items():
+            result = fetched.get(plan.cache_keys[index])
+            if result is None:
+                lost.append((index, point))
+            else:
+                hits.append((index, result, True))
+        _finish(warm_points, hits, "warm restore")
+        if lost:
+            # Entries damaged (or removed) between planning and restore
+            # recompute exactly like cold points.
+            resolved: Dict[str, DBPIMConfig] = {}
+            for _, point in lost:
+                if point.config not in resolved:
+                    resolved[point.config] = get_config(point.config)
+            recovery = SweepShard(
+                index=len(plan.shards),
+                indices=tuple(index for index, _ in lost),
+                points=tuple(point for _, point in lost),
+                warm=False,
+                configs=tuple(resolved.items()),
             )
-            hits: List[Tuple[int, ExperimentResult, bool]] = []
-            lost: List[Tuple[int, SweepPoint]] = []
-            for index, point in warm_points.items():
-                result = fetched.get(plan.cache_keys[index])
-                if result is None:
-                    lost.append((index, point))
-                else:
-                    hits.append((index, result, True))
-            _finish(warm_points, hits, "warm restore")
-            if lost:
-                # Records damaged (or truncated away) between planning and
-                # restore recompute exactly like cold points.
-                resolved: Dict[str, DBPIMConfig] = {}
-                for _, point in lost:
-                    if point.config not in resolved:
-                        resolved[point.config] = get_config(point.config)
-                recovery = SweepShard(
-                    index=len(plan.shards),
-                    indices=tuple(index for index, _ in lost),
-                    points=tuple(point for _, point in lost),
-                    warm=False,
-                    configs=tuple(resolved.items()),
-                )
-                _finish_shard(recovery, run_shard(recovery, None))
-    else:
-        exec_shards = plan.shards
-        worker_cache_dir = cache_dir
-        if transport_obj.distributed:
-            # Workers may live on other hosts: they run cache-less and
-            # the coordinator persists (persist_files above).  Warm
-            # shards would be pointless network round-trips -- their
-            # results already sit in the local cache -- so the
-            # coordinator restores them inline, exactly like the packed
-            # backend's warm path.
-            worker_cache_dir = None
-            if cache_dir is not None:
-                exec_shards = tuple(s for s in plan.shards if not s.warm)
-                for shard in (s for s in plan.shards if s.warm):
-                    _finish_shard(shard, run_shard(shard, cache_dir))
+            _finish_shard(recovery, run_shard(recovery))
 
-    workers = max_workers or max(1, min(len(exec_shards), os.cpu_count() or 1))
-    # The transport owns the execution strategy (inline, pool, or a worker
-    # fleet over a shared directory); run_shard with the worker cache dir
-    # bound is the runner every backend executes (partial keeps it
-    # picklable for the process transport's pool).
-    transport_obj.run(
-        exec_shards,
-        partial(run_shard, cache_dir=worker_cache_dir),
-        _finish_shard,
-        workers,
+    workers = planner.max_workers or max(
+        1, min(len(exec_shards), os.cpu_count() or 1)
     )
+    # The transport owns the execution strategy (inline, pool, or a worker
+    # fleet over a shared directory); run_shard is the runner every
+    # backend executes.
+    transport_obj.run(exec_shards, run_shard, _finish_shard, workers)
 
     completed = [outcome for outcome in outcomes if outcome is not None]
     if len(completed) != len(grid):  # pragma: no cover - defensive
         raise RuntimeError("sweep finished with unexecuted grid points")
-    hits = sum(1 for _, hit in completed if hit)
+    hit_count = sum(1 for _, hit in completed if hit)
     stats = SweepStats(
         executor=transport_name,
         max_workers=workers,
@@ -1693,7 +1319,7 @@ def _run_sweep_locked(
     )
     return SweepResult(
         results=tuple(result for result, _ in completed),
-        cache_hits=hits,
-        cache_misses=len(completed) - hits,
+        cache_hits=hit_count,
+        cache_misses=len(completed) - hit_count,
         stats=stats,
     )

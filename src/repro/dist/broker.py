@@ -586,7 +586,6 @@ class BrokerTransport(ShardTransport):
     """
 
     name = "broker"
-    distributed = True
 
     def __init__(
         self,

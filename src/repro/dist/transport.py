@@ -86,7 +86,7 @@ DEFAULT_TRANSPORT = "thread"
 #: exactly what :func:`repro.api.sweep.run_shard` returns.
 ShardOutcomes = List[Tuple[int, Any, bool]]
 
-#: A callable executing one shard (``run_shard`` with the cache dir bound).
+#: A callable executing one shard (``run_shard``; store-less).
 ShardRunner = Callable[[Any], ShardOutcomes]
 
 #: A callable recording one finished shard's outcomes (persist + journal).
@@ -169,12 +169,6 @@ class ShardTransport:
 
     #: Registry name (subclasses override).
     name = "abstract"
-
-    #: True when shards execute outside this process's address space (the
-    #: sweep service then keeps workers cache-less and persists results
-    #: coordinator-side, exactly like the packed backend's single-writer
-    #: rule).
-    distributed = False
 
     def __init__(self, max_attempts: int = 3) -> None:
         if max_attempts <= 0:
@@ -267,8 +261,8 @@ class ShardTransport:
 
         Args:
             shards: the planned shards to execute.
-            runner: executes one shard (``run_shard`` with the worker
-                cache directory bound by the sweep service).
+            runner: executes one shard (``run_shard``; workers never
+                touch the result store).
             finish: coordinator-side completion hook (fills the outcome
                 table, persists to cache/journal); called exactly once
                 per shard, in completion order.
@@ -388,8 +382,7 @@ class TransportSpec:
         factory: builds a fresh :class:`ShardTransport` per sweep; called
             with the transport options ``run_sweep`` collected (e.g. the
             broker's ``sweep_dir`` / ``lease_ttl_s``).
-        distributed: shards execute outside the coordinator process (the
-            sweep keeps workers cache-less and persists coordinator-side).
+        distributed: shards execute outside the coordinator process.
     """
 
     name: str

@@ -10,10 +10,11 @@ fragment, release the lease, repeat.  A background thread refreshes the
 lease's heartbeat stamp while a shard runs, so a *busy* worker is never
 mistaken for a dead one by a cross-host coordinator.
 
-Workers run cache-less (``run_shard(shard, None)``): the coordinator owns
-the result cache and persists merged outcomes itself, which keeps the
-packed store's single-writer rule intact and the sweep's cache-hit
-accounting byte-identical to a serial run.  Kill a worker -- even
+Workers are store-less for every cache backend: ``run_shard(shard)`` runs
+the shard through the shared execution core without a result store, and
+the coordinator restores warm points and persists finished shards itself,
+which keeps the packed store's single-writer rule intact and the sweep's
+cache-hit accounting byte-identical to a serial run.  Kill a worker -- even
 ``SIGKILL`` mid-shard -- and nothing is lost: its lease stops
 heartbeating, the coordinator breaks it, and the shard is requeued for
 someone else (bounded by the coordinator's ``max_attempts``).
@@ -129,7 +130,7 @@ def run_worker(config: WorkerConfig) -> int:
     The worker loop of the ``repro worker`` command: wait for the
     manifest, then lease / execute / publish until the coordinator drops
     the stop sentinel, every shard has a result, or ``max_shards`` is
-    reached.  Shards run cache-less; results stream back as journal
+    reached.  Shards run store-less; results stream back as journal
     fragments the coordinator merges deterministically.
 
     Args:
@@ -168,7 +169,7 @@ def run_worker(config: WorkerConfig) -> int:
             shard = broker.load_task(shard_index)
             with _Heartbeat(broker, shard_index, config):
                 try:
-                    outcomes: ShardOutcomes = run_shard(shard, None)
+                    outcomes: ShardOutcomes = run_shard(shard)
                 except SweepPointError as error:
                     point = getattr(error, "point", None)
                     broker.write_failure(

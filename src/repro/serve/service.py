@@ -4,14 +4,16 @@ Every ``repro run`` process today pays interpreter startup, registry
 construction and workload profiling before its first simulated cycle.  This
 module keeps all of that warm in one long-lived service:
 
-* :class:`ExperimentService` -- an asyncio object owning warm
-  :class:`~repro.api.experiment.Experiment` sessions (one per
-  (config, seed, engine), so workload sparsity profiles and compiled
-  programs are profiled once and reused), an admission-controlled request
-  queue with per-request deadlines and bounded backpressure, and a
-  **coalescing batcher** that drains compatible queued requests into single
-  batched :meth:`~repro.api.experiment.Experiment.run` calls riding the
-  vectorized :func:`~repro.sim.vectorized.simulate_jobs` kernel -- with
+* :class:`ExperimentService` -- an asyncio object owning a long-lived
+  :class:`~repro.api.execution.SessionPool` (one warm
+  :class:`~repro.api.experiment.Experiment` per (config, seed, engine), so
+  workload sparsity profiles and compiled programs are profiled once and
+  reused), an admission-controlled request queue with per-request
+  deadlines and bounded backpressure, and a **coalescing batcher** that
+  drains compatible queued requests into groups executed by the same core
+  as sweep shards (:func:`~repro.api.execution.execute_points`): one
+  batched :meth:`~repro.api.experiment.Experiment.run` per config riding
+  the vectorized :func:`~repro.sim.vectorized.simulate_jobs` kernel, with
   results byte-identical to one-at-a-time dispatch (pinned by
   ``tests/serve/``);
 * :class:`HotResultCache` (see :mod:`repro.serve.cache`) layered over the
@@ -38,7 +40,6 @@ import asyncio
 import functools
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,20 +54,13 @@ from typing import (
     Union,
 )
 
-from ..api.experiment import EXPERIMENTS, Experiment, get_experiment_spec
+from ..api.execution import SessionPool, execute_points, merge_key
+from ..api.experiment import get_experiment_spec
 from ..api.results import ExperimentResult, SweepResult, _jsonify
-from ..api.sweep import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
-    SweepPoint,
-    _load_cached,
-    _prime_sessions,
-    _store_cached,
-    run_sweep,
-)
+from ..api.sweep import SweepPoint, run_sweep
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import resolve_cycle_model_engine
-from ..store import PackedResultStore, PackedStoreLockedError
+from ..store import DEFAULT_CACHE_BACKEND, open_store
 from .cache import HotResultCache
 from .metrics import MetricsRegistry
 
@@ -185,11 +179,7 @@ class ServeConfig:
             raise ValueError("default_timeout_s must be positive")
         if self.hot_cache_size < 0:
             raise ValueError("hot_cache_size must be >= 0")
-        if self.cache_backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {self.cache_backend!r}; expected "
-                f"one of {CACHE_BACKENDS}"
-            )
+        open_store(None, self.cache_backend)  # validates the backend name
 
 
 @dataclass(frozen=True)
@@ -338,15 +328,6 @@ class RunOutcome:
     latency_s: float
 
 
-#: Mergeable experiments (single batched run == per-request runs): the same
-#: criterion the sweep shard executor applies.
-_MERGEABLE = frozenset(
-    spec.id
-    for spec in EXPERIMENTS.values()
-    if spec.takes_models and not spec.aggregates_models and not spec.heavy
-)
-
-
 @dataclass
 class _Pending:
     """Internal queue entry: one admitted request awaiting dispatch."""
@@ -391,26 +372,25 @@ class ExperimentService:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         self.metrics = MetricsRegistry()
+        # Fallback counters are exported from the start, zeros included.
+        for name in ("merge_fallbacks_total", "store_append_skipped_total"):
+            self.metrics.increment(name, 0)
         self.hot_cache = HotResultCache(
             capacity=self.config.hot_cache_size,
             ttl_s=self.config.hot_cache_ttl_s,
         )
-        # One long-lived store instance: the in-memory index makes every
-        # hot-cache-miss probe an in-process set lookup (refreshed only
-        # when pack.index changes on disk).
-        self._store: Optional[PackedResultStore] = (
-            PackedResultStore(self.config.cache_dir)
-            if self.config.cache_backend == "packed"
-            and self.config.cache_dir is not None
-            else None
+        # One long-lived store instance: on the packed backend the
+        # in-memory index makes every hot-cache-miss probe an in-process
+        # set lookup (refreshed only when pack.index changes on disk).
+        self._store = open_store(
+            self.config.cache_dir, self.config.cache_backend
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional["asyncio.Queue[Any]"] = None
         self._batcher: Optional["asyncio.Task[None]"] = None
         self._run_executor: Optional[ThreadPoolExecutor] = None
         self._sweep_executor: Optional[ThreadPoolExecutor] = None
-        self._sessions: Dict[Tuple[str, int, str], Experiment] = {}
-        self._sessions_lock = threading.Lock()
+        self._sessions = SessionPool()
         self._inflight_sweeps: set = set()
         self._started = False
         self._closing = False
@@ -621,28 +601,20 @@ class ExperimentService:
 
     # -- batching -------------------------------------------------------
     @staticmethod
-    def _coalesce_key(request: RunRequest) -> Optional[Tuple[Any, ...]]:
+    def _coalesce_key(point: SweepPoint) -> Optional[Tuple[Any, ...]]:
         """Compatibility bucket of a request, or ``None`` when standalone.
 
         Only mergeable experiments coalesce; the bucket pins everything
         except the model list *and the hardware configuration*, so a merged
         run differs from the solo runs only by model concatenation (which
         the vectorized kernel evaluates elementwise per layer -- hence
-        byte-identical splitting).  Cross-config members of one bucket are
-        partitioned back into per-config subgroups by
-        :meth:`_execute_group`, which first precomputes their shared
-        cycle-model work through the config-fused grid kernel
-        (:func:`repro.sim.vectorized.simulate_grid`).
+        byte-identical splitting).  The execution core runs one merged
+        call per config of a group.
         """
-        if request.experiment not in _MERGEABLE or not request.models:
+        merge = merge_key(point)
+        if merge is None:
             return None
-        rest = tuple(sorted(dict(request.params).items()))
-        return (
-            request.experiment,
-            request.seed,
-            request.engine,
-            repr(rest),
-        )
+        return (merge, point.seed, point.engine)
 
     async def _batch_loop(self) -> None:
         """The batcher task: collect -> group -> dispatch, forever."""
@@ -687,7 +659,7 @@ class ExperimentService:
         groups: Dict[Any, List[_Pending]] = {}
         standalone: List[List[_Pending]] = []
         for pending in batch:
-            key = self._coalesce_key(pending.request)
+            key = self._coalesce_key(pending.point)
             if key is None:
                 standalone.append([pending])
             else:
@@ -728,209 +700,36 @@ class ExperimentService:
                         pending.future.set_result((outcome, len(live)))
 
     # -- synchronous execution (dispatch thread) ------------------------
-    def _session_for(self, config: str, seed: int, engine: str) -> Experiment:
-        """The warm session of (config, seed, engine), created on demand.
-
-        Same-(seed, engine) sessions are cloned via
-        :meth:`~repro.api.experiment.Experiment.with_config` so they share
-        one workload-profile cache -- the prerequisite for the cross-config
-        fused prime pass (primed entries are identity-checked against the
-        profile object the consuming session resolves).
-        """
-        key = (config, seed, engine)
-        with self._sessions_lock:
-            session = self._sessions.get(key)
-            if session is None:
-                for (_, other_seed, other_engine), other in list(
-                    self._sessions.items()
-                ):
-                    if other_seed == seed and other_engine == engine:
-                        session = other.with_config(config)
-                        break
-                else:
-                    session = Experiment(
-                        config=config, seed=seed, engine=engine
-                    )
-                self._sessions[key] = session
-                self.metrics.set_gauge("sessions", len(self._sessions))
-        return session
-
-    def _session(self, request: RunRequest) -> Experiment:
-        """The warm session serving ``request`` (see :meth:`_session_for`)."""
-        return self._session_for(request.config, request.seed, request.engine)
-
     def _execute_group(
         self, group: Sequence[_Pending]
     ) -> List[Union[ExperimentResult, Exception]]:
         """Execute one compatible group synchronously (on the executor).
 
-        The group is partitioned into per-config subgroups (the coalesce
-        key deliberately ignores the configuration).  When more than one
-        config participates, the shared cycle-model work is first
-        precomputed through the config-fused grid kernel and each config's
-        session primed with its byte-identical slice (see
-        :func:`repro.api.sweep._prime_sessions`); each subgroup then runs
-        on its own warm session exactly as before -- so fused and unfused
-        dispatch produce identical results.
+        Runs :func:`~repro.api.execution.execute_points` on the daemon's
+        long-lived session pool and store (dedupe, one batched store read,
+        one merged run per config, per-request fallback, one best-effort
+        store append) and maps each request to its result or a
+        :class:`RunFailedError`.
         """
-        subgroups: Dict[str, List[_Pending]] = {}
+        execution = execute_points(
+            [pending.point for pending in group], self._sessions, self._store
+        )
+        metrics = self.metrics
+        metrics.increment("disk_cache_hits", len(execution.hits))
+        metrics.increment("merge_fallbacks_total", execution.merge_fallbacks)
+        metrics.increment("store_append_skipped_total", execution.append_skipped)
+        metrics.set_gauge("sessions", len(self._sessions))
+        outcomes: List[Union[ExperimentResult, Exception]] = []
         for pending in group:
-            subgroups.setdefault(pending.request.config, []).append(pending)
-        if len(subgroups) > 1:
-            self.metrics.increment("cross_config_groups")
-            _prime_sessions(
-                [(i, p.point) for i, p in enumerate(group)],
-                self._session_for,
-            )
-        computed: Dict[str, Union[ExperimentResult, Exception]] = {}
-        for members in subgroups.values():
-            self._execute_subgroup(members, computed)
-        return [computed[pending.key] for pending in group]
-
-    def _execute_subgroup(
-        self,
-        members: Sequence[_Pending],
-        computed: Dict[str, Union[ExperimentResult, Exception]],
-    ) -> None:
-        """Execute one same-config subgroup into ``computed``.
-
-        Requests with identical cache keys are deduplicated (computed
-        once, shared); the disk cache (when configured) is probed before
-        any simulation -- on the packed backend that is ONE batched
-        :meth:`~repro.store.PackedResultStore.get_many` read for the whole
-        subgroup, the same store a ``repro sweep --cache-backend packed``
-        populates; the remaining unique requests are merged into one
-        batched ``Experiment.run`` when there is more than one, falling
-        back to per-request execution on any merge failure so the
-        offending request is identified precisely.  Computed results are
-        written back the same way (one batched, best-effort store append,
-        or one per-file write each).
-        """
-        session = self._session(members[0].request)
-        cache_dir = self.config.cache_dir
-        store = self._store
-        candidates: List[_Pending] = []
-        for pending in members:
-            if pending.key in computed or any(
-                p.key == pending.key for p in candidates
-            ):
-                continue
-            candidates.append(pending)
-        unique: List[_Pending] = []
-        if store is not None:
-            store.maybe_refresh()
-            fetched = store.get_many(p.key for p in candidates)
-            for pending in candidates:
-                cached = fetched.get(pending.key)
-                if cached is not None:
-                    computed[pending.key] = cached
-                    self.metrics.increment("disk_cache_hits")
-                else:
-                    unique.append(pending)
-        elif cache_dir is not None:
-            for pending in candidates:
-                cached = _load_cached(pending.point, cache_dir)
-                if cached is not None:
-                    computed[pending.key] = cached
-                    self.metrics.increment("disk_cache_hits")
-                else:
-                    unique.append(pending)
-        else:
-            unique = candidates
-        merged: Dict[str, ExperimentResult] = {}
-        if len(unique) > 1:
-            merged = self._run_merged(session, unique)
-        if merged:
-            computed.update(merged)
-        else:
-            for pending in unique:
-                computed[pending.key] = self._run_single(session, pending)
-        if store is not None:
-            fresh = [
-                (pending.key, computed[pending.key])
-                for pending in unique
-                if isinstance(computed.get(pending.key), ExperimentResult)
-            ]
-            if fresh:
-                try:
-                    store.append_many(fresh)
-                except PackedStoreLockedError as error:
-                    # Persisting is best-effort for a live service: a
-                    # concurrent writer must not fail the request.
-                    warnings.warn(
-                        f"skipping packed-store append ({error}); results "
-                        "served from memory only",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-        elif cache_dir is not None:
-            for pending in unique:
-                outcome = computed.get(pending.key)
-                if isinstance(outcome, ExperimentResult):
-                    _store_cached(pending.point, outcome, cache_dir)
-
-    def _run_single(
-        self, session: Experiment, pending: _Pending
-    ) -> Union[ExperimentResult, Exception]:
-        """One request, one ``Experiment.run``; failures become values."""
-        try:
-            return session.run(
-                pending.request.experiment, **pending.point.params
-            )
-        except Exception as error:
-            return RunFailedError(
-                f"experiment failed: {pending.point.describe()}: "
-                f"{type(error).__name__}: {error}"
-            )
-
-    def _run_merged(
-        self, session: Experiment, group: Sequence[_Pending]
-    ) -> Dict[str, ExperimentResult]:
-        """Coalesce a group into one batched run and split the rows back.
-
-        Mirrors the sweep shard executor's merge: the model lists are
-        concatenated into a single ``Experiment.run`` (one vectorized
-        cycle-model pass for the whole group) and the returned rows are
-        sliced back per request -- byte-identical to solo dispatch because
-        the vectorized kernel is elementwise per layer and row order
-        follows model order.  Returns ``{}`` on any failure so the caller
-        falls back to per-request execution.
-        """
-        first = group[0]
-        counts = [len(pending.request.models or ()) for pending in group]
-        models: List[str] = []
-        for pending in group:
-            models.extend(pending.request.models or ())
-        base_params = {
-            name: value
-            for name, value in first.point.params.items()
-            if name != "models"
-        }
-        try:
-            combined = session.run(
-                first.request.experiment, models=models, **base_params
-            )
-            if len(combined.rows) != len(models):
-                raise ValueError(
-                    f"merged run returned {len(combined.rows)} rows for "
-                    f"{len(models)} models"
+            result = execution.results[pending.key]
+            if isinstance(result, Exception):
+                error = RunFailedError(
+                    f"experiment failed: {pending.point.describe()}: "
+                    f"{type(result).__name__}: {result}"
                 )
-        except Exception:
-            return {}
-        resolved = list(combined.params["models"])
-        outcomes: Dict[str, ExperimentResult] = {}
-        offset = 0
-        for pending, count in zip(group, counts):
-            params = dict(combined.params)
-            params["models"] = resolved[offset : offset + count]
-            outcomes[pending.key] = ExperimentResult(
-                experiment=combined.experiment,
-                rows=combined.rows[offset : offset + count],
-                params=params,
-                seed=combined.seed,
-                config=combined.config,
-            )
-            offset += count
+                error.__cause__ = result
+                result = error
+            outcomes.append(result)
         return outcomes
 
 

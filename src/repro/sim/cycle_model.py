@@ -184,13 +184,6 @@ class CycleModel:
         self.config = config or DBPIMConfig()
         self.energy_model = energy_model or EnergyModel()
         self.engine = self.engine_spec.name
-        #: ``(id(profile), variant) -> (profile, performance)`` hand-off
-        #: memo filled by :meth:`prime` and consumed (once per entry) by
-        #: :meth:`run_batch`; the stored profile reference both keeps the
-        #: ``id`` stable and lets lookups verify identity.
-        self._primed: Dict[
-            Tuple[int, str], Tuple[ModelSparsityProfile, ModelPerformance]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Configuration variants
@@ -400,8 +393,6 @@ class CycleModel:
         """
         jobs = list(jobs)
         if configs is None:
-            if self._primed:
-                return self._run_batch_primed(jobs)
             config_list = [self.config] * len(jobs)
         else:
             config_list = list(configs)
@@ -416,79 +407,6 @@ class CycleModel:
         return self.engine_spec.run_jobs(
             self, jobs, config_list, variant_configs
         )
-
-    # ------------------------------------------------------------------
-    # Cross-config result priming
-    # ------------------------------------------------------------------
-    def prime(
-        self,
-        jobs: Sequence[Tuple[ModelSparsityProfile, str]],
-        performances: Sequence[ModelPerformance],
-    ) -> None:
-        """Pre-populate results for jobs already evaluated elsewhere.
-
-        The hand-off half of the config-fused sweep/serve path: a single
-        :meth:`run_batch` call with an explicit cross-config ``configs``
-        grid evaluates every (config, profile, variant) cell through one
-        fused :func:`repro.sim.vectorized.simulate_grid` pass, then each
-        per-config session primes *its* cycle model with its slice.  A
-        later :meth:`run_batch` under this model's own base configuration
-        serves those jobs from the memo instead of recomputing them --
-        byte-identical, because the primed values *are* the fused kernel's
-        outputs for exactly this configuration.
-
-        Each primed entry is consumed at most once (the memo is a hand-off,
-        not a cache), and entries are verified by profile object identity
-        on lookup.
-
-        Parameters
-        ----------
-        jobs : sequence of (ModelSparsityProfile, str)
-            The (profile, variant) jobs the results belong to.  They must
-            have been evaluated under **this** model's base configuration.
-        performances : sequence of ModelPerformance
-            The evaluated results, aligned with ``jobs``.
-
-        Raises
-        ------
-        ValueError
-            If ``jobs`` and ``performances`` have different lengths.
-        """
-        jobs = list(jobs)
-        performances = list(performances)
-        if len(jobs) != len(performances):
-            raise ValueError(
-                f"got {len(jobs)} jobs but {len(performances)} performances"
-            )
-        for (profile, variant), performance in zip(jobs, performances):
-            self._primed[(id(profile), str(variant))] = (profile, performance)
-
-    def _run_batch_primed(
-        self, jobs: List[Tuple[ModelSparsityProfile, str]]
-    ) -> List[ModelPerformance]:
-        """Serve a base-config batch from the :meth:`prime` memo, computing
-        only the jobs the memo does not cover (in one engine pass)."""
-        results: List[Optional[ModelPerformance]] = [None] * len(jobs)
-        pending: List[int] = []
-        for index, (profile, variant) in enumerate(jobs):
-            entry = self._primed.pop((id(profile), str(variant)), None)
-            if entry is not None and entry[0] is profile:
-                results[index] = entry[1]
-            else:
-                pending.append(index)
-        if pending:
-            pending_jobs = [jobs[index] for index in pending]
-            config_list = [self.config] * len(pending_jobs)
-            variant_configs = [
-                self.variant_config_of(config, variant)
-                for (_, variant), config in zip(pending_jobs, config_list)
-            ]
-            computed = self.engine_spec.run_jobs(
-                self, pending_jobs, config_list, variant_configs
-            )
-            for index, performance in zip(pending, computed):
-                results[index] = performance
-        return list(results)
 
     def _arrays_for(self, profile: ModelSparsityProfile) -> ProfileArrays:
         """Memoised :class:`ProfileArrays` of one live profile object.

@@ -203,9 +203,10 @@ class PackedResultStore:
     def maybe_refresh(self) -> None:
         """Reload the index only if ``pack.index`` changed on disk.
 
-        One ``stat`` when nothing changed -- cheap enough for a long-lived
-        reader (the serve daemon) to call before every batched probe, so it
-        observes records appended by concurrent sweep processes.
+        One ``stat`` when nothing changed -- cheap enough for
+        :meth:`probe` and :meth:`get_many` to call every time, so a
+        long-lived reader (the serve daemon) observes records appended by
+        concurrent sweep processes.
         """
         if self._entries is not None and self._stat_index() != self._index_sig:
             self.refresh()
@@ -367,7 +368,10 @@ class PackedResultStore:
         One in-memory set intersection -- this is the batched replacement
         for the per-file cache's N ``stat`` calls, and what
         :class:`~repro.api.sweep.ShardPlanner` plans warm/cold shards from.
+        Picks up records appended by other processes first
+        (:meth:`maybe_refresh`, one ``stat``).
         """
+        self.maybe_refresh()
         index = self._index()
         return frozenset(key for key in keys if key in index)
 
@@ -390,8 +394,10 @@ class PackedResultStore:
         warm grid costs one pass over the data file instead of N opens.
         Damaged records are reported with a :class:`RuntimeWarning` and
         omitted (the caller recomputes them -- same contract as an
-        unreadable per-file cache entry).
+        unreadable per-file cache entry).  Like :meth:`probe`, first picks
+        up records appended by other processes.
         """
+        self.maybe_refresh()
         index = self._index()
         wanted = [
             (index[key][0], index[key][1], key)
@@ -535,36 +541,26 @@ class PackedResultStore:
 
     # -- migration ------------------------------------------------------
     def ingest_files(self, directory: Optional[Union[str, Path]] = None) -> int:
-        """Migrate a per-file sweep cache's ``{cache_key}.json`` entries.
+        """Migrate a per-file sweep cache (:class:`~repro.store.FileResultStore`).
 
         Every readable per-file entry of ``directory`` (default: the
         store's own directory, the usual shared-cache layout) whose key is
-        not already packed is appended in one batch.  The source files are
-        left in place -- the per-file backend keeps working during and
-        after a migration.  Unreadable entries are skipped with a
-        :class:`RuntimeWarning`.
+        not already packed is appended in one batch, in key order.  The
+        source files are left in place -- the per-file backend keeps
+        working during and after a migration.  Unreadable entries are
+        skipped with a :class:`RuntimeWarning`.
 
         Returns:
             The number of newly packed entries.
         """
-        from ..api.results import ExperimentResult
+        from .files import FileResultStore
 
-        source = Path(directory) if directory is not None else self.directory
-        present = self._index()
-        batch: List[Tuple[str, Any]] = []
-        for path in sorted(source.glob("*.json")):
-            key = path.stem
-            if key in present:
-                continue
-            try:
-                batch.append((key, ExperimentResult.load(path)))
-            except (OSError, ValueError, KeyError, TypeError) as error:
-                warnings.warn(
-                    f"skipping unreadable cache entry {path} during pack "
-                    f"migration ({type(error).__name__}: {error})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        source = FileResultStore(
+            directory if directory is not None else self.directory
+        )
+        keys = sorted(source.keys().difference(self._index()))
+        fetched = source.get_many(keys)
+        batch = [(key, fetched[key]) for key in keys if key in fetched]
         if batch:
             self.append_many(batch)
         return len(batch)

@@ -1,0 +1,129 @@
+"""Tests for the shared execution core (``repro.api.execution``).
+
+Pins what sweep shards, serve batches and ``repro worker`` rely on: a
+mixed batch executed by :func:`execute_points` equals point-at-a-time
+``Experiment(...).run`` byte for byte, a store turns a repeat call into
+pure hits without building a session, and a failing point comes back as a
+value while its merge bucket-mates still succeed.
+"""
+
+import pytest
+
+from repro.api.execution import SessionPool, execute_points
+from repro.api.experiment import Experiment
+from repro.api.results import ExperimentResult
+from repro.api.sweep import SweepPoint
+from repro.store import open_store
+
+
+def _fig7(model_list, config="paper-28nm"):
+    return SweepPoint(
+        experiment="fig7", config=config, params={"models": list(model_list)}
+    )
+
+
+MIXED = (
+    _fig7(["alexnet"]),
+    _fig7(["alexnet"], config="dense-baseline"),  # multi-config fig7
+    _fig7(["resnet18"]),
+    _fig7(["mobilenetv2", "vgg19"]),  # a multi-model point
+    SweepPoint(experiment="table4"),
+    _fig7(["alexnet"]),  # duplicate key
+)
+
+
+def _solo(point):
+    session = Experiment(config=point.config, seed=point.seed, engine=point.engine)
+    return session.run(point.experiment, **point.params)
+
+
+class TestExecutePoints:
+    def test_mixed_batch_matches_point_at_a_time(self):
+        execution = execute_points(MIXED, SessionPool())
+        assert len(execution.results) == len(MIXED) - 1  # deduplicated
+        assert not execution.hits and execution.merge_fallbacks == 0
+        for point in MIXED:
+            result = execution.results[point.cache_key()]
+            assert result.to_json() == _solo(point).to_json()
+
+    @pytest.mark.parametrize("backend", ["files", "packed"])
+    def test_second_call_with_store_is_all_hits(self, tmp_path, backend):
+        store = open_store(tmp_path, backend)
+        cold = execute_points(MIXED, SessionPool(), store)
+        assert not cold.hits and cold.append_skipped == 0
+        pool = SessionPool()
+        warm = execute_points(MIXED, pool, open_store(tmp_path, backend))
+        assert warm.hits == frozenset(cold.results)
+        assert len(pool) == 0  # no session was ever built
+        for key, result in cold.results.items():
+            assert warm.results[key].to_json() == result.to_json()
+
+    def test_failing_point_is_a_value_and_bucket_mates_succeed(
+        self, monkeypatch
+    ):
+        real_run = Experiment.run
+
+        def fragile(self, experiment, **params):
+            if "mobilenetv2" in (params.get("models") or ()):
+                raise RuntimeError("injected fault")
+            return real_run(self, experiment, **params)
+
+        monkeypatch.setattr(Experiment, "run", fragile)
+        points = [_fig7([name]) for name in ("alexnet", "mobilenetv2", "vgg19")]
+        execution = execute_points(points, SessionPool())
+        assert execution.merge_fallbacks == 1
+        failed = execution.results[points[1].cache_key()]
+        assert isinstance(failed, RuntimeError)
+        assert "injected fault" in str(failed)
+        for point in (points[0], points[2]):
+            result = execution.results[point.cache_key()]
+            assert isinstance(result, ExperimentResult)
+            assert result.to_json() == _solo(point).to_json()
+
+
+class TestSessionPool:
+    def test_same_seed_and_engine_sessions_share_profiles(self):
+        pool = SessionPool()
+        base = pool.get("paper-28nm", 0, "vectorized")
+        clone = pool.get("paper-28nm-8macro", 0, "vectorized")
+        other_seed = pool.get("paper-28nm", 1, "vectorized")
+        assert pool.get("paper-28nm", 0, "vectorized") is base
+        assert clone._profiles is base._profiles
+        assert other_seed._profiles is not base._profiles
+        assert len(pool) == 3
+
+
+class TestRunShard:
+    def test_whole_shard_runs_then_first_failure_in_grid_order_raises(
+        self, monkeypatch
+    ):
+        # run_shard executes every point of the shard through the core
+        # (failures come back as values) and only then raises for the
+        # first failed point in grid order.
+        from repro.api.sweep import (
+            ShardPlanner,
+            SweepPointError,
+            build_grid,
+            run_shard,
+        )
+
+        real_run = Experiment.run
+        attempted = []
+
+        def fragile(self, experiment, **params):
+            models = params.get("models") or ()
+            attempted.append(tuple(models))
+            if {"mobilenetv2", "vgg19"} & set(models):
+                raise RuntimeError("injected fault")
+            return real_run(self, experiment, **params)
+
+        monkeypatch.setattr(Experiment, "run", fragile)
+        grid = build_grid(
+            experiments=("fig7",), models=("alexnet", "mobilenetv2", "vgg19")
+        )
+        (shard,) = ShardPlanner(shards=1).plan(grid).shards
+        with pytest.raises(SweepPointError) as info:
+            run_shard(shard)
+        assert info.value.point.params["models"] == ["mobilenetv2"]
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert ("vgg19",) in attempted  # the later point still ran

@@ -2,7 +2,7 @@
 
 import pytest
 
-import repro.api.sweep as sweep_module
+import repro.api.execution as execution_module
 from repro.api import ExperimentResult, SweepResult, build_grid, run_sweep
 from repro.api.sweep import SweepPoint, run_point
 
@@ -83,7 +83,7 @@ class TestSweepExecution:
         def _boom(*args, **kwargs):
             raise AssertionError("simulation executed on a warm cache")
 
-        monkeypatch.setattr(sweep_module, "Experiment", _boom)
+        monkeypatch.setattr(execution_module, "Experiment", _boom)
         warm = run_sweep(**kwargs)
         assert warm.cache_hits == 2 and warm.cache_misses == 0
         assert warm.results == cold.results

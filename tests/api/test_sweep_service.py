@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import repro.api.execution as execution_module
 import repro.api.sweep as sweep_module
 from repro.api import (
     Experiment,
@@ -208,11 +209,10 @@ class TestExecutorEquality:
         )
 
     def test_cross_config_fused_shard_matches_point_at_a_time(self):
-        # Points differing only in configuration land on one shard and are
-        # precomputed through the config-fused grid kernel (one
-        # simulate_grid pass priming every per-config session); the
-        # split-back results must be byte-identical to executing every
-        # point individually on its own session.
+        # Points differing only in configuration land on one shard, whose
+        # per-config sessions share one profile cache and each run one
+        # merged call; the split-back results must be byte-identical to
+        # executing every point individually on its own session.
         grid = build_grid(
             experiments=("fig7",),
             models=("alexnet",),
@@ -249,6 +249,52 @@ class TestExecutorEquality:
         assert warm.cache_hits == len(warm.results) and warm.cache_misses == 0
         assert warm.results == cold.results
 
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_files_backend_is_written_by_the_coordinator(
+        self, tmp_path, monkeypatch, transport
+    ):
+        # Workers are store-less on every transport: the coordinator writes
+        # exactly one {key}.json per cold point, a re-run is all hits, and a
+        # resume from a half-written journal restores the same bytes.
+        import threading
+
+        from repro.api.sweep import cache_keys_for_grid
+        from repro.store import FileResultStore
+
+        writers = []
+        real_append = FileResultStore.append_many
+
+        def recording(self, entries):
+            writers.append((threading.get_ident(), len(entries)))
+            return real_append(self, entries)
+
+        monkeypatch.setattr(FileResultStore, "append_many", recording)
+        cache, journal = tmp_path / "cache", tmp_path / "sweep.jsonl"
+        kwargs = dict(
+            transport=transport, max_workers=2, shards=3, cache_dir=cache,
+            **GRID_KWARGS,
+        )
+        cold = run_sweep(journal=journal, **kwargs)
+        assert cold.cache_misses == len(cold.results)
+        keys = cache_keys_for_grid(build_grid(**GRID_KWARGS))
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            f"{key}.json" for key in keys
+        )
+        assert {ident for ident, _ in writers} == {threading.get_ident()}
+        assert sum(count for _, count in writers) == len(cold.results)
+        reference = [r.to_json() for r in cold.results]
+
+        warm = run_sweep(**kwargs)
+        assert warm.cache_hits == len(warm.results)
+        assert [r.to_json() for r in warm.results] == reference
+
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines[:2]) + "\n")  # header + 1 point
+        resumed = run_sweep(journal=journal, resume=True, **kwargs)
+        assert [r.to_json() for r in resumed.results] == reference
+        assert resumed.stats.journaled_points == 1
+        assert resumed.cache_hits == len(reference) - 1
+
     def test_process_backend_ships_user_registered_configs(self, tmp_path):
         # A session on an unregistered config: the preset only exists in
         # this process, so process workers must receive it with the shard.
@@ -276,7 +322,7 @@ class TestExecutorEquality:
 
 class TestFailureAttribution:
     def test_failing_point_identified_and_chained(self, monkeypatch):
-        real_experiment = sweep_module.Experiment
+        real_experiment = execution_module.Experiment
 
         class Exploding(real_experiment):
             def run(self, experiment, **params):
@@ -286,7 +332,7 @@ class TestFailureAttribution:
                     raise RuntimeError("injected fault")
                 return super().run(experiment, **params)
 
-        monkeypatch.setattr(sweep_module, "Experiment", Exploding)
+        monkeypatch.setattr(execution_module, "Experiment", Exploding)
         with pytest.raises(SweepPointError) as info:
             run_sweep(executor="thread", max_workers=2, **GRID_KWARGS)
         message = str(info.value)
@@ -327,14 +373,14 @@ class TestJournal:
         journal.write_text("\n".join(lines[:3]) + "\n")
 
         executed = []
-        real_experiment = sweep_module.Experiment
+        real_experiment = execution_module.Experiment
 
         class Counting(real_experiment):
             def run(self, experiment, **params):
                 executed.append((experiment, params.get("models")))
                 return super().run(experiment, **params)
 
-        monkeypatch.setattr(sweep_module, "Experiment", Counting)
+        monkeypatch.setattr(execution_module, "Experiment", Counting)
         resumed = run_sweep(
             executor="serial", journal=journal, resume=True, **GRID_KWARGS
         )
@@ -469,7 +515,7 @@ class TestSessionRunSweep:
         grid = build_grid(**GRID_KWARGS)
         plan = ShardPlanner(shards=1).plan(grid)
         (shard,) = [s for s in plan.shards if len(s) > 1]
-        outcomes = run_shard(shard, cache_dir=tmp_path)
+        outcomes = run_shard(shard)
         assert [index for index, _, _ in outcomes] == sorted(shard.indices)
         assert all(hit is False for _, _, hit in outcomes)
 

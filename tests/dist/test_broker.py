@@ -339,7 +339,7 @@ VICTIM_SCRIPT = """
 
     import repro.api.sweep as sweep_module
 
-    def lethal_run_shard(shard, cache_dir=None):
+    def lethal_run_shard(shard):
         os.kill(os.getpid(), signal.SIGKILL)
 
     sweep_module.run_shard = lethal_run_shard

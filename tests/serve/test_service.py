@@ -137,7 +137,7 @@ class TestServiceDispatch:
 
     def test_cross_config_requests_coalesce_byte_identical(self):
         """Requests differing only in config share one coalesce bucket,
-        ride the config-fused grid prime, and split back bytewise."""
+        run one merged call per config, and split back bytewise."""
 
         configs = ("paper-28nm", "dense-baseline", "weight-sparsity-only")
 
@@ -166,7 +166,6 @@ class TestServiceDispatch:
         assert [o.batch_size for o in outcomes] == [len(configs)] * len(
             configs
         )
-        assert metrics["counters"].get("cross_config_groups") == 1
         for config, outcome in zip(configs, outcomes):
             expected = direct_result(
                 RunRequest("fig7", models=("alexnet",), config=config)
@@ -313,8 +312,13 @@ class TestServiceDispatch:
             expected = direct_result(RunRequest("fig7", models=(model,)))
             assert outcome.result.to_json() == expected.to_json()
 
-    def test_experiment_failure_is_typed_and_isolated(self):
+    def test_experiment_failure_is_typed_and_isolated(self, monkeypatch):
         """A failing run maps to RunFailedError without killing the service."""
+
+        def boom(self, experiment, **params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(Experiment, "run", boom)
 
         async def scenario():
             service = ExperimentService(
@@ -322,11 +326,6 @@ class TestServiceDispatch:
             )
             await service.start()
             try:
-                def boom(session, pending):
-                    return RunFailedError("experiment failed: boom")
-
-                service._run_single = boom
-                service._run_merged = lambda session, group: {}
                 with pytest.raises(RunFailedError, match="boom"):
                     await service.submit(
                         RunRequest("fig7", models=("alexnet",))
@@ -336,6 +335,43 @@ class TestServiceDispatch:
                 await service.close()
 
         assert asyncio.run(scenario()) == 1
+
+    def test_merge_failure_falls_back_visibly(self, monkeypatch):
+        """A failing merged run is re-run per request (byte-identical to
+        solo dispatch) and counted in merge_fallbacks_total."""
+        real_run = Experiment.run
+
+        def solo_only(self, experiment, **params):
+            if len(params.get("models") or ()) > 1:
+                raise RuntimeError("merged runs are broken")
+            return real_run(self, experiment, **params)
+
+        monkeypatch.setattr(Experiment, "run", solo_only)
+
+        async def scenario():
+            service = ExperimentService(
+                ServeConfig(batch_window_s=0.4, hot_cache_size=0)
+            )
+            await service.start()
+            try:
+                tasks = [
+                    asyncio.ensure_future(
+                        service.submit(RunRequest("fig7", models=(model,)))
+                    )
+                    for model in MODELS
+                ]
+                outcomes = await asyncio.gather(*tasks)
+                return outcomes, service.snapshot()
+            finally:
+                await service.close()
+
+        outcomes, snapshot = asyncio.run(scenario())
+        assert [o.batch_size for o in outcomes] == [len(MODELS)] * len(MODELS)
+        assert snapshot["counters"]["merge_fallbacks_total"] == 1
+        assert snapshot["counters"]["store_append_skipped_total"] == 0
+        for model, outcome in zip(MODELS, outcomes):
+            expected = direct_result(RunRequest("fig7", models=(model,)))
+            assert outcome.result.to_json() == expected.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +446,37 @@ class TestServiceCaching:
             hits = runtime.metrics()["counters"].get("disk_cache_hits", 0)
         assert hits == 1
         assert outcome.result.to_json() == swept.results[0].to_json()
+
+    def test_locked_pack_skips_append_visibly(self, tmp_path):
+        """Another live process holding the pack lock must not fail the
+        request; the skipped append shows in store_append_skipped_total."""
+        import subprocess
+        import sys
+
+        from repro.store import LOCK_FILENAME, PackedResultStore
+
+        holder = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"]
+        )
+        try:
+            (tmp_path / LOCK_FILENAME).write_text(f"{holder.pid}\n")
+            config = ServeConfig(
+                batch_window_s=0.0,
+                hot_cache_size=0,
+                cache_dir=tmp_path,
+                cache_backend="packed",
+            )
+            request = RunRequest("fig7", models=("alexnet",))
+            with ServiceRuntime(config) as runtime:
+                with pytest.warns(RuntimeWarning, match="packed-store append"):
+                    outcome = runtime.run(request)
+                counters = runtime.metrics()["counters"]
+        finally:
+            holder.kill()
+            holder.wait()
+        assert counters["store_append_skipped_total"] == 1
+        assert outcome.result.to_json() == direct_result(request).to_json()
+        assert len(PackedResultStore(tmp_path)) == 0  # nothing written
 
     def test_unknown_cache_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown cache backend"):

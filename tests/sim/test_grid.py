@@ -8,9 +8,7 @@ per configuration): every cycle count, activity counter and energy
 component, for every registered preset, every Fig. 7 variant, every stock
 workload and a seeded fuzz corpus.  Exact ``==`` comparisons, no
 tolerances.  Also pinned here: the identity-memoised
-:func:`~repro.sim.vectorized.config_knobs` extraction and the
-:meth:`~repro.sim.cycle_model.CycleModel.prime` hand-off memo the fused
-sweep/serve path is built on.
+:func:`~repro.sim.vectorized.config_knobs` extraction.
 """
 
 import dataclasses
@@ -184,55 +182,3 @@ class TestConfigKnobs:
         for clone in clones:
             assert config_knobs(clone)[4] == clone.num_macros
 
-
-class TestPrimeHandOff:
-    def _jobs(self):
-        profile = profile_model(get_workload("alexnet"), seed=0)
-        return [(profile, variant) for variant in SPARSITY_VARIANTS]
-
-    def test_primed_results_served_bitwise_and_consumed_once(self):
-        jobs = self._jobs()
-        reference = CycleModel().run_batch(jobs)
-        model = CycleModel()
-        model.prime(jobs, reference)
-        assert model._primed
-        served = model.run_batch(jobs)
-        assert served == reference
-        assert not model._primed  # hand-off, not a cache
-        assert model.run_batch(jobs) == reference  # recomputed path
-
-    def test_partial_prime_merges_with_computed_jobs(self):
-        jobs = self._jobs()
-        reference = CycleModel().run_batch(jobs)
-        model = CycleModel()
-        model.prime(jobs[:2], reference[:2])
-        assert model.run_batch(jobs) == reference
-
-    def test_identity_miss_recomputes_correctly(self):
-        jobs = self._jobs()
-        reference = CycleModel().run_batch(jobs)
-        model = CycleModel()
-        model.prime(jobs, reference)
-        # A re-profiled (equal but distinct) profile must not be served
-        # from the memo -- and must still compute the right answer.
-        fresh_profile = profile_model(get_workload("alexnet"), seed=0)
-        fresh_jobs = [(fresh_profile, variant) for variant in SPARSITY_VARIANTS]
-        assert model.run_batch(fresh_jobs) == reference
-
-    def test_length_mismatch_rejected(self):
-        jobs = self._jobs()
-        reference = CycleModel().run_batch(jobs)
-        with pytest.raises(ValueError):
-            CycleModel().prime(jobs, reference[:1])
-
-    def test_explicit_configs_bypass_the_memo(self):
-        jobs = self._jobs()
-        base = get_config("paper-28nm")
-        configs = [
-            base.for_variant(variant) for variant in SPARSITY_VARIANTS
-        ]
-        reference = CycleModel(base).run_batch(jobs, configs=configs)
-        model = CycleModel(base)
-        model.prime(jobs, reference)
-        assert model.run_batch(jobs, configs=configs) == reference
-        assert model._primed  # untouched: explicit grids never consume
