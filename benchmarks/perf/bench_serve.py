@@ -93,7 +93,7 @@ def _throughput(
     overall, cycling through every registered workload and all four
     mergeable model-parameterised experiments so consecutive requests are
     distinct (no hot cache to hide behind -- it is disabled) yet still
-    coalescible when they land in the same batch window.
+    coalescible when they queue up behind the same dispatch.
     """
     models = list_workloads()
     requests = [
@@ -151,7 +151,7 @@ def run_benchmark(
 ) -> Dict[str, object]:
     """Benchmark the daemon and return the report payload."""
     cold_s = _time_cold_process(model, repeats)
-    config = ServeConfig(batch_window_s=0.005, hot_cache_size=0)
+    config = ServeConfig(hot_cache_size=0)
     with ServiceRuntime(config) as runtime:
         runtime.run(RunRequest("fig7", models=(model,)))  # warm the session
         warm_s = _time_warm_single(runtime, model, repeats)

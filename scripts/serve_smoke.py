@@ -2,7 +2,9 @@
 
 Starts the daemon as a real subprocess on an ephemeral port, exercises the
 whole HTTP surface -- ``/v1/health``, ``/v1/run`` (cold + hot-cache repeat),
-``/v1/sweep``, ``/v1/metrics`` -- and finishes with a SIGTERM, asserting the
+``/v1/sweep``, ``/v1/metrics`` -- probes keep-alive latency (hot-cache hits
+on one persistent connection, where a split response write would stall
+~40 ms on Nagle + delayed ACK), and finishes with a SIGTERM, asserting the
 daemon drains and exits 0.  Run locally with::
 
     PYTHONPATH=src python scripts/serve_smoke.py
@@ -13,15 +15,23 @@ payload and exits non-zero.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 TIMEOUT_S = 120
+#: Hot-cache hits timed on one keep-alive connection, and the bound on
+#: their median round trip (a hit costs well under 1 ms server-side).
+KEEPALIVE_HITS = 20
+KEEPALIVE_MEDIAN_S = 0.020
 
 
 def _post(url: str, path: str, payload: dict) -> tuple:
@@ -40,6 +50,30 @@ def _post(url: str, path: str, payload: dict) -> tuple:
 def _get(url: str, path: str) -> tuple:
     with urllib.request.urlopen(url + path, timeout=TIMEOUT_S) as response:
         return response.status, json.loads(response.read())
+
+
+def _keepalive_median(url: str, payload: dict) -> float:
+    """Median round trip of hot-cache hits for ``payload`` on one
+    persistent connection (the first request warms the key)."""
+    address = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=TIMEOUT_S
+    )
+    body = json.dumps(payload)
+    headers = {"Content-Type": "application/json"}
+    elapsed = []
+    try:
+        for _ in range(KEEPALIVE_HITS + 1):
+            start = time.perf_counter()
+            connection.request("POST", "/v1/run", body=body, headers=headers)
+            response = connection.getresponse()
+            reply = json.loads(response.read())
+            elapsed.append(time.perf_counter() - start)
+            assert response.status == 200, (response.status, reply)
+    finally:
+        connection.close()
+    assert reply["outcome"]["cache_hit"], reply
+    return statistics.median(elapsed[1:])
 
 
 def main() -> int:
@@ -76,6 +110,16 @@ def main() -> int:
         )
         assert status == 200 and body["outcome"]["cache_hit"], (status, body)
         print(f"hot-cache repeat OK ({body['outcome']['latency_s'] * 1e3:.2f} ms)")
+
+        median = _keepalive_median(
+            url, {"experiment": "fig7", "models": ["alexnet"]}
+        )
+        print(
+            f"keep-alive: {KEEPALIVE_HITS} hot hits on one connection, "
+            f"median {median * 1e3:.2f} ms "
+            f"(bound {KEEPALIVE_MEDIAN_S * 1e3:.0f} ms)"
+        )
+        assert median < KEEPALIVE_MEDIAN_S, "keep-alive median over bound"
 
         status, body = _post(url, "/v1/run", {"experiment": "nope"})
         assert status == 400, (status, body)

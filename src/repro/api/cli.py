@@ -309,11 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with 503",
     )
     serve_parser.add_argument(
-        "--batch-window-ms", type=float, default=5.0, metavar="MS",
-        help="how long the batcher collects compatible requests before "
-        "dispatching one coalesced simulator pass",
-    )
-    serve_parser.add_argument(
         "--timeout", type=float, default=60.0, metavar="SECONDS",
         help="default per-request deadline",
     )
@@ -624,15 +619,12 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     if args.max_queue <= 0:
         raise CLIError("--max-queue must be positive")
-    if args.batch_window_ms < 0:
-        raise CLIError("--batch-window-ms must be >= 0")
     if args.timeout <= 0:
         raise CLIError("--timeout must be positive")
     if args.hot_cache_size < 0:
         raise CLIError("--hot-cache-size must be >= 0")
     config = ServeConfig(
         max_queue=args.max_queue,
-        batch_window_s=args.batch_window_ms / 1000.0,
         default_timeout_s=args.timeout,
         hot_cache_size=args.hot_cache_size,
         hot_cache_ttl_s=args.hot_cache_ttl if args.hot_cache_ttl > 0 else None,

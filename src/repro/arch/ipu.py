@@ -22,6 +22,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from ..core.csd import count_nonzero_bits_binary
+
 __all__ = ["BitColumn", "InputPreprocessingUnit"]
 
 
@@ -108,9 +110,10 @@ class InputPreprocessingUnit:
 
         Pads the flat activation vector with zeros up to a whole number of
         groups (zeros never add active columns), reshapes it to
-        ``(groups, group_size)`` and ORs the bit planes across each group --
-        the vectorized equivalent of calling :meth:`broadcast_cycles` on
-        every group in a Python loop.
+        ``(groups, group_size)``, ORs each group into the mask the
+        leading-one detector walks and counts the mask's set bits by table
+        lookup -- the vectorized equivalent of calling
+        :meth:`broadcast_cycles` on every group in a Python loop.
 
         Args:
             inputs: flat unsigned integer activation vector (any length).
@@ -122,9 +125,12 @@ class InputPreprocessingUnit:
         groups = -(-inputs.size // self.group_size)
         padded = np.zeros(groups * self.group_size, dtype=np.int64)
         padded[: inputs.size] = inputs
-        grouped = padded.reshape(groups, self.group_size)
-        bits = (grouped[:, :, None] >> np.arange(self.input_bits)) & 1
-        return bits.any(axis=1).sum(axis=1).astype(np.int64)
+        group_or = np.bitwise_or.reduce(
+            padded.reshape(groups, self.group_size), axis=1
+        )
+        return count_nonzero_bits_binary(group_or, self.input_bits).astype(
+            np.int64, copy=False
+        )
 
     def average_active_columns(
         self, inputs: np.ndarray, skip_zero_columns: bool = True

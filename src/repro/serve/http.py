@@ -101,19 +101,31 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServeHTTPServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response is one write, so Nagle has nothing to merge
+    # and could only hold it back.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
         """Silence the default stderr access log (metrics cover it)."""
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        """Serialise ``payload`` and send it with ``status``."""
+        """Serialise ``payload`` and send it with ``status`` in one write.
+
+        ``end_headers()`` would write the head on its own; on a keep-alive
+        connection the body write then waits out Nagle + delayed ACK
+        (~40 ms).  So the blank line ``end_headers()`` adds and the body go
+        behind the buffered head instead, and everything leaves together.
+        """
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = getattr(self, "_headers_buffer", [])  # none for HTTP/0.9
+        if self.request_version != "HTTP/0.9":
+            head.append(b"\r\n")
+        self._headers_buffer = []
+        self.wfile.write(b"".join(head) + body)
 
     def _send_error(self, error: Exception) -> None:
         """Map a (typed) error to its HTTP status and JSON body."""

@@ -138,10 +138,6 @@ class ServeConfig:
     Attributes:
         max_queue: admission bound -- requests beyond this many queued (not
             yet dispatched) are rejected with :class:`QueueFullError`.
-        batch_window_s: after the first queued request is picked up, the
-            batcher keeps collecting compatible requests for this long
-            before dispatching one coalesced batch (0 disables the wait;
-            requests arriving while a batch executes still coalesce).
         default_timeout_s: per-request deadline applied when the request
             does not carry its own ``timeout_s``.
         hot_cache_size: capacity of the in-memory TTL/LRU result cache
@@ -162,7 +158,6 @@ class ServeConfig:
     """
 
     max_queue: int = 64
-    batch_window_s: float = 0.005
     default_timeout_s: float = 60.0
     hot_cache_size: int = 256
     hot_cache_ttl_s: Optional[float] = 300.0
@@ -173,8 +168,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_queue <= 0:
             raise ValueError("max_queue must be positive")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         if self.default_timeout_s <= 0:
             raise ValueError("default_timeout_s must be positive")
         if self.hot_cache_size < 0:
@@ -354,12 +347,13 @@ class ExperimentService:
     close(drain=True)`` to stop -- a draining close finishes every admitted
     request before returning, so no accepted work is ever dropped.
 
-    Dispatch model: a single batcher task pulls admitted requests off the
-    queue, waits :attr:`ServeConfig.batch_window_s` for companions, groups
-    compatible requests -- same (experiment, config, seed, engine,
-    non-model params), mergeable experiment -- and executes each group as
-    **one** batched ``Experiment.run`` on a dispatch thread (the simulation
-    is CPU-bound synchronous NumPy; the event loop stays responsive).
+    Dispatch model: a single batcher task takes the first admitted request
+    off the queue, drains whatever else is already queued (it never waits
+    for companions), groups compatible requests -- same (experiment,
+    config, seed, engine, non-model params), mergeable experiment -- and
+    executes each group as **one** batched ``Experiment.run`` on a
+    dispatch thread (the simulation is CPU-bound synchronous NumPy; the
+    event loop stays responsive).
     Requests arriving while a batch executes pile up in the queue and
     coalesce into the next batch, which is where the throughput under
     concurrent load comes from.
@@ -595,7 +589,6 @@ class ExperimentService:
             "sessions": len(self._sessions),
             "hot_cache_entries": len(self.hot_cache),
             "max_queue": self.config.max_queue,
-            "batch_window_s": self.config.batch_window_s,
         }
         return payload
 
@@ -617,7 +610,12 @@ class ExperimentService:
         return (merge, point.seed, point.engine)
 
     async def _batch_loop(self) -> None:
-        """The batcher task: collect -> group -> dispatch, forever."""
+        """The batcher task: collect -> group -> dispatch, forever.
+
+        A batch is the first queued request plus whatever else is already
+        queued -- no timed wait, so a lone request dispatches at once, and
+        requests that arrive while a batch executes form the next one.
+        """
         assert self._queue is not None and self._loop is not None
         stop = False
         while not stop:
@@ -625,23 +623,7 @@ class ExperimentService:
             if item is _SHUTDOWN:
                 break
             batch: List[_Pending] = [item]
-            if self.config.batch_window_s > 0:
-                window_end = time.monotonic() + self.config.batch_window_s
-                while True:
-                    remaining = window_end - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        extra = await asyncio.wait_for(
-                            self._queue.get(), timeout=remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                    if extra is _SHUTDOWN:
-                        stop = True
-                        break
-                    batch.append(extra)
-            while not stop:
+            while True:
                 try:
                     extra = self._queue.get_nowait()
                 except asyncio.QueueEmpty:

@@ -7,8 +7,13 @@ here: ``/v1/run`` responses embed results byte-identical to direct
 (400/503/504), and shutdown drains cleanly.
 """
 
+import http.client
 import json
+import re
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -22,11 +27,7 @@ from repro.serve.http import _request_from_payload, make_server
 @pytest.fixture(scope="module")
 def server():
     """One live daemon shared by the endpoint tests (port 0 = ephemeral)."""
-    server = make_server(
-        host="127.0.0.1",
-        port=0,
-        config=ServeConfig(batch_window_s=0.01),
-    )
+    server = make_server(host="127.0.0.1", port=0, config=ServeConfig())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -135,6 +136,55 @@ class TestEndpoints:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
             assert excinfo.value.code == 404
+
+
+class TestKeepAlive:
+    def test_hot_hits_on_one_connection_do_not_stall(self, server):
+        """Hot-cache hits over one keep-alive connection take well under
+        the >=40 ms Nagle + delayed-ACK stall of a split response write."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        body = json.dumps({"experiment": "fig7", "models": ["vgg19"]})
+        headers = {"Content-Type": "application/json"}
+
+        def round_trip():
+            start = time.perf_counter()
+            connection.request("POST", "/v1/run", body=body, headers=headers)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 200, payload
+            return time.perf_counter() - start, payload["outcome"]
+
+        try:
+            round_trip()  # warms the key
+            hits = [round_trip() for _ in range(20)]
+        finally:
+            connection.close()
+        assert all(outcome["cache_hit"] for _, outcome in hits)
+        assert statistics.median(elapsed for elapsed, _ in hits) < 0.020
+
+    def test_response_bytes(self, server):
+        """Status line, headers and body leave exactly as the stdlib
+        handler would frame them, and the connection stays open."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            for _ in range(2):
+                sock.sendall(b"GET /v1/nope HTTP/1.1\r\nHost: x\r\n\r\n")
+                raw = b""
+                while b"\r\n\r\n" not in raw or not raw.endswith(b"}}"):
+                    raw += sock.recv(65536)
+                head, body = raw.split(b"\r\n\r\n", 1)
+                assert json.loads(body) == {
+                    "error": {"type": "NotFound", "message": "/v1/nope"}
+                }
+                assert re.fullmatch(
+                    rb"HTTP/1\.1 404 Not Found\r\n"
+                    rb"Server: BaseHTTP/[\d.]+ Python/[\d.]+\r\n"
+                    rb"Date: [^\r]+ GMT\r\n"
+                    rb"Content-Type: application/json\r\n"
+                    rb"Content-Length: %d" % len(body),
+                    head,
+                ), head
 
 
 class TestPayloadParsing:

@@ -115,7 +115,7 @@ class TestServiceDispatch:
 
         async def scenario():
             service = ExperimentService(
-                ServeConfig(batch_window_s=0.4, hot_cache_size=0)
+                ServeConfig(hot_cache_size=0)
             )
             await service.start()
             try:
@@ -143,7 +143,7 @@ class TestServiceDispatch:
 
         async def scenario():
             service = ExperimentService(
-                ServeConfig(batch_window_s=0.4, hot_cache_size=0)
+                ServeConfig(hot_cache_size=0)
             )
             await service.start()
             try:
@@ -175,7 +175,7 @@ class TestServiceDispatch:
     def test_identical_requests_deduplicate_within_batch(self):
         async def scenario():
             service = ExperimentService(
-                ServeConfig(batch_window_s=0.4, hot_cache_size=0)
+                ServeConfig(hot_cache_size=0)
             )
             await service.start()
             try:
@@ -197,7 +197,7 @@ class TestServiceDispatch:
 
         async def scenario():
             service = ExperimentService(
-                ServeConfig(batch_window_s=0.4, hot_cache_size=0)
+                ServeConfig(hot_cache_size=0)
             )
             await service.start()
             try:
@@ -221,23 +221,39 @@ class TestServiceDispatch:
             )
             assert outcome.result.to_json() == expected.to_json()
 
-    def test_deadline_expiry_is_typed(self):
-        """A deadline shorter than the batch window expires while queued."""
+    def test_deadline_expiry_is_typed(self, monkeypatch):
+        """A short deadline expires while queued behind a busy dispatch."""
+        real_run = Experiment.run
+        entered = threading.Event()
+        release = threading.Event()
+
+        def gated(self, experiment, **params):
+            entered.set()
+            release.wait(timeout=30)
+            return real_run(self, experiment, **params)
+
+        monkeypatch.setattr(Experiment, "run", gated)
 
         async def scenario():
-            service = ExperimentService(
-                ServeConfig(batch_window_s=0.5, hot_cache_size=0)
-            )
+            service = ExperimentService(ServeConfig(hot_cache_size=0))
             await service.start()
             try:
+                first = asyncio.ensure_future(
+                    service.submit(RunRequest("fig7", models=("alexnet",)))
+                )
+                # The dispatch thread is now held inside Experiment.run.
+                assert await asyncio.to_thread(entered.wait, 30)
                 with pytest.raises(DeadlineExceededError, match="deadline"):
                     await service.submit(
                         RunRequest(
-                            "fig7", models=("alexnet",), timeout_s=0.05
+                            "fig7", models=("resnet18",), timeout_s=0.05
                         )
                     )
+                release.set()
+                await first
                 return service.metrics.counter("timeout_total")
             finally:
+                release.set()
                 await service.close()
 
         assert asyncio.run(scenario()) == 1
@@ -247,9 +263,7 @@ class TestServiceDispatch:
 
         async def scenario():
             service = ExperimentService(
-                ServeConfig(
-                    max_queue=1, batch_window_s=0.0, hot_cache_size=0
-                )
+                ServeConfig(max_queue=1, hot_cache_size=0)
             )
             await service.start()
             release = threading.Event()
@@ -290,7 +304,7 @@ class TestServiceDispatch:
 
         async def scenario():
             service = ExperimentService(
-                ServeConfig(batch_window_s=0.2, hot_cache_size=0)
+                ServeConfig(hot_cache_size=0)
             )
             await service.start()
             tasks = [
@@ -322,7 +336,7 @@ class TestServiceDispatch:
 
         async def scenario():
             service = ExperimentService(
-                ServeConfig(batch_window_s=0.0, hot_cache_size=0)
+                ServeConfig(hot_cache_size=0)
             )
             await service.start()
             try:
@@ -350,7 +364,7 @@ class TestServiceDispatch:
 
         async def scenario():
             service = ExperimentService(
-                ServeConfig(batch_window_s=0.4, hot_cache_size=0)
+                ServeConfig(hot_cache_size=0)
             )
             await service.start()
             try:
@@ -379,7 +393,7 @@ class TestServiceDispatch:
 # ---------------------------------------------------------------------------
 class TestServiceCaching:
     def test_hot_cache_hit_on_repeat(self):
-        with ServiceRuntime(ServeConfig(batch_window_s=0.0)) as runtime:
+        with ServiceRuntime(ServeConfig()) as runtime:
             request = RunRequest("fig7", models=("alexnet",))
             first = runtime.run(request)
             second = runtime.run(request)
@@ -388,9 +402,7 @@ class TestServiceCaching:
         assert second.result.to_json() == first.result.to_json()
 
     def test_disk_cache_layer(self, tmp_path):
-        config = ServeConfig(
-            batch_window_s=0.0, hot_cache_size=0, cache_dir=tmp_path
-        )
+        config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
         request = RunRequest("fig7", models=("alexnet",))
         with ServiceRuntime(config) as runtime:
             first = runtime.run(request)
@@ -407,7 +419,6 @@ class TestServiceCaching:
         from repro.store import DATA_FILENAME, PackedResultStore
 
         config = ServeConfig(
-            batch_window_s=0.0,
             hot_cache_size=0,
             cache_dir=tmp_path,
             cache_backend="packed",
@@ -436,7 +447,6 @@ class TestServiceCaching:
             cache_backend="packed",
         )
         config = ServeConfig(
-            batch_window_s=0.0,
             hot_cache_size=0,
             cache_dir=tmp_path,
             cache_backend="packed",
@@ -461,7 +471,6 @@ class TestServiceCaching:
         try:
             (tmp_path / LOCK_FILENAME).write_text(f"{holder.pid}\n")
             config = ServeConfig(
-                batch_window_s=0.0,
                 hot_cache_size=0,
                 cache_dir=tmp_path,
                 cache_backend="packed",
@@ -483,7 +492,7 @@ class TestServiceCaching:
             ServeConfig(cache_backend="sqlite")
 
     def test_metrics_snapshot_shape(self):
-        with ServiceRuntime(ServeConfig(batch_window_s=0.0)) as runtime:
+        with ServiceRuntime(ServeConfig()) as runtime:
             runtime.run(RunRequest("fig7", models=("alexnet",)))
             snapshot = runtime.metrics()
         assert snapshot["counters"]["requests_ok"] == 1
@@ -573,7 +582,7 @@ class TestMetrics:
 class TestServiceRuntime:
     def test_threaded_submits_coalesce_and_match_serial(self):
         """Concurrent OS threads (the HTTP shape) coalesce bitwise-correctly."""
-        config = ServeConfig(batch_window_s=0.3, hot_cache_size=0)
+        config = ServeConfig(hot_cache_size=0)
         outcomes = {}
         with ServiceRuntime(config) as runtime:
             def submit(model):
@@ -597,7 +606,7 @@ class TestServiceRuntime:
         assert ratio >= 1.0  # coalescing is timing-dependent across threads
 
     def test_run_after_close_raises(self):
-        runtime = ServiceRuntime(ServeConfig(batch_window_s=0.0)).start()
+        runtime = ServiceRuntime(ServeConfig()).start()
         runtime.close()
         with pytest.raises(ServiceClosedError):
             runtime.run(RunRequest("fig7", models=("alexnet",)))
@@ -605,9 +614,13 @@ class TestServiceRuntime:
     def test_serve_config_validation(self):
         for kwargs in (
             {"max_queue": 0},
-            {"batch_window_s": -1.0},
             {"default_timeout_s": 0.0},
             {"hot_cache_size": -1},
         ):
             with pytest.raises(ValueError):
                 ServeConfig(**kwargs)
+
+    def test_batch_window_option_is_gone(self):
+        """The batcher never waits for companions, so there is no window."""
+        with pytest.raises(TypeError):
+            ServeConfig(batch_window_s=0.005)
