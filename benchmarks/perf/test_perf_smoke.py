@@ -25,7 +25,6 @@ def _load(name: str):
 bench_cycle_model = _load("bench_cycle_model")
 bench_compile = _load("bench_compile")
 bench_sweep = _load("bench_sweep")
-bench_grid = _load("bench_grid")
 
 
 def test_bench_emits_report(tmp_path):
@@ -102,29 +101,6 @@ def test_bench_compile_rejects_bad_repeats(tmp_path, capsys):
     with pytest.raises(SystemExit):
         bench_compile.main(["--repeats", "0"])
     capsys.readouterr()
-
-
-def test_bench_grid_emits_report(tmp_path):
-    output = tmp_path / "BENCH_grid.json"
-    code = bench_grid.main(
-        [
-            "--presets", "paper-28nm", "dense-baseline",
-            "--models", "alexnet",
-            "--repeats", "1",
-            "--output", str(output),
-        ]
-    )
-    assert code == 0
-    report = json.loads(output.read_text())
-    assert report["benchmark"] == "grid"
-    assert report["models"] == ["alexnet"]
-    assert report["configs"] == 8  # 2 presets x 4 variants
-    assert report["cpu_count"] >= 1
-    assert report["fused_s"] > 0 and report["sessions_s"] > 0
-    assert (
-        report["speedup_vs_sessions"]
-        == report["sessions_s"] / report["fused_s"]
-    )
 
 
 def test_bench_sweep_emits_report(tmp_path):

@@ -47,9 +47,7 @@ REQUIRED_SYMBOLS = (
     "repro.api.results.SweepStats",
     "repro.api.experiment.Experiment.run_sweep",
     "repro.sim.vectorized.simulate_jobs",
-    "repro.sim.vectorized.concatenate_batches",
     "repro.sim.vectorized.profile_arrays",
-    "repro.sim.vectorized.invalidate_profile_arrays",
     "repro.api.sweep.SweepJournalLockedError",
     "repro.api.sweep.SweepJournal.acquire",
     "repro.api.sweep.SweepJournal.release",
@@ -72,11 +70,6 @@ REQUIRED_SYMBOLS = (
     "repro.sim.engines.list_engines",
     "repro.sim.vectorized.simulate_grid",
     "repro.sim.vectorized.config_knobs",
-    "repro.sim.engines.register_absent_engine",
-    "repro.sim.engines.absent_engines",
-    "repro.sim.engines.jit.register_jit_engine",
-    "repro.sim.engines.jit.NUMBA_AVAILABLE",
-    "repro.sim.engines.jit.JIT_CACHE_TOKEN",
     "repro.sim.engines.conformance.assert_conformance",
     "repro.sim.engines.conformance.conformance_mismatches",
     "repro.sim.engines.conformance.verify_engine",

@@ -37,12 +37,7 @@ import sys
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 from ..sim.cycle_model import DEFAULT_ENGINE
-from ..sim.engines import (
-    absent_engines,
-    engine_names,
-    get_engine,
-    list_engines,
-)
+from ..sim.engines import engine_names, get_engine, list_engines
 from .configs import list_configs
 from .experiment import (
     EXPERIMENTS,
@@ -128,21 +123,11 @@ def _check_configs(configs: Optional[Sequence[str]]) -> None:
 def _check_engine(engine: str, cycle_model_only: bool = False) -> None:
     """Validate an engine name against the registry (with suggestions).
 
-    Known-but-uninstalled engines (optional extras probed at import, e.g.
-    the numba-backed ``jit`` tier) exit 2 with the exact install command
-    instead of a spelling suggestion.
-
     Args:
         engine: the requested engine name.
         cycle_model_only: restrict the candidates to cycle-model-capable
             engines (the sweep grid cannot run the trace simulator).
     """
-    absent = absent_engines()
-    if engine in absent:
-        raise CLIError(
-            f"engine {engine!r} is not installed in this environment; "
-            f"enable it with: {absent[engine]}"
-        )
     candidates = engine_names(cycle_model=True if cycle_model_only else None)
     _check_name("engine", engine, candidates)
 
@@ -425,17 +410,8 @@ def _command_list(args: argparse.Namespace) -> int:
                     "cycle_model": engine.cycle_model,
                     "batch": engine.batch,
                     "trace_class": engine.trace_class,
-                    "available": True,
                 }
                 for engine in list_engines()
-            ]
-            + [
-                {
-                    "name": name,
-                    "available": False,
-                    "install_hint": hint,
-                }
-                for name, hint in sorted(absent_engines().items())
             ],
         }
         print(json.dumps(payload, indent=2))
@@ -457,8 +433,6 @@ def _command_list(args: argparse.Namespace) -> int:
     for engine in list_engines():
         kind = "cycle-model" if engine.cycle_model else "program-trace"
         print(f"  {engine.name:<12} {kind:<13} {engine.title}")
-    for name, hint in sorted(absent_engines().items()):
-        print(f"  {name:<12} {'unavailable':<13} ({hint})")
     print(f"configs:   {' '.join(list_configs())}")
     return 0
 

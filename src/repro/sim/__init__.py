@@ -56,9 +56,9 @@ from .vectorized import (
     MAX_FTA_THRESHOLD,
     BatchActivity,
     ProfileArrays,
-    invalidate_profile_arrays,
     profile_arrays,
-    simulate_layers,
+    simulate_grid,
+    simulate_jobs,
 )
 
 __all__ = [
@@ -92,6 +92,6 @@ __all__ = [
     "BatchActivity",
     "ProfileArrays",
     "profile_arrays",
-    "invalidate_profile_arrays",
-    "simulate_layers",
+    "simulate_grid",
+    "simulate_jobs",
 ]

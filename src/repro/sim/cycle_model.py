@@ -365,11 +365,11 @@ class CycleModel:
 
         Dispatches through the engine's registered
         :attr:`~repro.sim.engines.EngineSpec.run_jobs` hook.  With the
-        vectorized engine the layers of every job are concatenated into a
-        single structure-of-arrays batch -- hardware geometry and sparsity
-        flags become per-layer arrays -- so an entire design-space axis
-        (models, variants, macro counts, ...) is simulated by one NumPy
-        expression instead of nested Python loops.  With the scalar engine
+        vectorized engine each run of jobs sharing one profile is evaluated
+        by :func:`repro.sim.vectorized.simulate_grid` as one ``(config,
+        layer)`` array pass, so an entire design-space axis (variants,
+        macro counts, ...) is simulated by one NumPy expression instead of
+        nested Python loops.  With the scalar engine
         the jobs fall back to a per-job reference loop.
 
         Parameters

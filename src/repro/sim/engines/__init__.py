@@ -14,9 +14,9 @@ every comparison.  This package promotes the strings into a real registry:
   bitwise against the scalar reference or within
   :data:`~repro.sim.trace.TRACE_TOLERANCE` (trace-class engines), its
   cache-key contribution and its execution hooks;
-* :func:`register_engine` -- the single hook a new backend (e.g. a future
-  ``engine="jit"`` tier) calls; every consumer of engines -- the cycle
-  model, :class:`~repro.api.experiment.Experiment`,
+* :func:`register_engine` -- the single hook a new backend calls; every
+  consumer of engines -- the cycle model,
+  :class:`~repro.api.experiment.Experiment`,
   :func:`~repro.api.sweep.run_sweep`, ``repro.serve`` and the CLI --
   resolves names through :func:`get_engine` instead of comparing strings,
   and the shared conformance suite in ``tests/engines/`` parametrizes over
@@ -32,7 +32,7 @@ registered when this module imports.  Cache-key stability: an engine's
 :meth:`repro.api.sweep.SweepPoint.cache_key` hashes -- so the registry
 refactor leaves every existing sweep/serve cache entry byte-for-byte valid
 (pinned by ``tests/engines/test_cache_keys.py``), while a future backend
-can rotate its own entries (e.g. ``cache_token="jit-v2"``) without
+can rotate its own entries (e.g. ``cache_token="<name>-v2"``) without
 touching anybody else's.
 """
 
@@ -50,8 +50,6 @@ __all__ = [
     "register_engine",
     "unregister_engine",
     "temporary_engine",
-    "register_absent_engine",
-    "absent_engines",
     "get_engine",
     "resolve_cycle_model_engine",
     "list_engines",
@@ -110,8 +108,8 @@ class EngineSpec:
         cache_token: this engine's contribution to
             :meth:`repro.api.sweep.SweepPoint.cache_key`.  Defaults to the
             engine name (keeping historical cache keys byte-for-byte
-            stable); bump it (e.g. ``"jit-v2"``) to invalidate only this
-            engine's cached results.
+            stable); bump it (e.g. ``"vectorized-v2"``) to invalidate
+            only this engine's cached results.
         run_jobs: batched execution hook of cycle-model engines --
             ``run_jobs(model, jobs, base_configs, variant_configs)`` must
             return one ``ModelPerformance`` per job, in job order (see
@@ -154,13 +152,6 @@ class EngineSpec:
 #: The live registry, in registration order (insertion-ordered dict).
 _REGISTRY: Dict[str, EngineSpec] = {}
 
-#: Known-but-uninstalled engines: ``name -> install hint``.  An optional
-#: backend whose import probe fails (e.g. ``jit`` without numba) records
-#: itself here instead of silently vanishing, so name resolution and the
-#: CLI can answer "how do I get it" rather than "never heard of it".
-_ABSENT: Dict[str, str] = {}
-
-
 def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
     """Register an engine, making it resolvable everywhere by name.
 
@@ -188,7 +179,6 @@ def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
             "to overwrite it"
         )
     _REGISTRY[spec.name] = spec
-    _ABSENT.pop(spec.name, None)  # the backend became available after all
     return spec
 
 
@@ -217,53 +207,9 @@ def temporary_engine(spec: EngineSpec) -> Iterator[EngineSpec]:
         _REGISTRY.pop(spec.name, None)
 
 
-def register_absent_engine(name: str, install_hint: str) -> None:
-    """Record an optional engine whose backend is not installed.
-
-    Called by an optional backend's import probe when its dependency is
-    missing (e.g. :mod:`repro.sim.engines.jit` without numba).  Selecting
-    the name afterwards raises (and ``repro list`` shows) the install hint
-    instead of an opaque unknown-engine error; a later successful
-    :func:`register_engine` of the same name clears the record.
-
-    Args:
-        name: the engine name users would select.
-        install_hint: one-line remedy, e.g.
-            ``"pip install 'dbpim-repro[jit]'"``.
-
-    Raises:
-        ValueError: when the name is empty or already registered as a live
-            engine.
-    """
-    if not name:
-        raise ValueError("engine names must be non-empty")
-    if name in _REGISTRY:
-        raise ValueError(
-            f"engine {name!r} is registered and available; it cannot also "
-            "be marked absent"
-        )
-    _ABSENT[name] = str(install_hint)
-
-
-def absent_engines() -> Dict[str, str]:
-    """Known-but-uninstalled optional engines, as ``{name: install hint}``.
-
-    Empty when every known backend is importable.  ``repro list`` renders
-    these as ``unavailable (<hint>)`` rows.
-    """
-    return dict(_ABSENT)
-
-
 def _unknown_engine_message(name: str) -> str:
-    """The canonical unknown-engine error text: an install hint for a
-    known-but-uninstalled optional backend, otherwise the registered names
-    sorted."""
-    hint = _ABSENT.get(name)
-    if hint is not None:
-        return (
-            f"engine {name!r} is not installed in this environment; "
-            f"enable it with: {hint}"
-        )
+    """The canonical unknown-engine error text, listing the registered
+    names sorted."""
     return (
         f"unknown engine {name!r}; registered engines: "
         f"{sorted(_REGISTRY)}"
@@ -411,10 +357,3 @@ register_engine(
         evaluate=_evaluate_trace,
     )
 )
-
-# The optional numba tier registers itself (or records an install hint)
-# depending on whether its dependency imports -- see
-# :mod:`repro.sim.engines.jit`.
-from . import jit as _jit  # noqa: E402  (needs the registry above)
-
-_jit.register_jit_engine()

@@ -12,20 +12,22 @@ array operations over structure-of-arrays layer batches:
   FTA thresholds -- thresholds are bounded by :data:`MAX_FTA_THRESHOLD`, so
   the variable-length per-filter threshold tuples collapse into a dense
   ``(layers, 5)`` count matrix);
-* :func:`simulate_layers` evaluates the mapping equations (filter grouping,
-  tiling, bit-serial cycle counts) and the energy model for a whole batch of
-  layers in one vectorized pass.  The batch may concatenate many layers,
-  many sparsity variants, many models and even many hardware configurations
-  -- every hardware knob is itself a per-layer array.
+* :func:`simulate_grid` evaluates the mapping equations (filter grouping,
+  tiling, bit-serial cycle counts) and the energy model for one flattened
+  profile against a whole grid of hardware configurations in one
+  ``(config, layer)`` broadcast pass;
+* :func:`simulate_jobs` is the shard-sized entry point: it splits a job list
+  into runs of consecutive jobs sharing one profile and dispatches each run
+  to :func:`simulate_grid`.
 
 Numerical contract
 ------------------
 Every arithmetic step mirrors the scalar engine operation-for-operation
 (integer ceil-divisions, ``int()`` truncation of the average parallel-filter
 count, the exact order of float multiplications), so results are **bitwise
-identical** to the scalar engine -- pinned by the equivalence suite in
-``tests/sim/test_vectorized.py``.  The scalar engine therefore survives as
-the readable reference implementation; this kernel is the fast path.
+identical** to the scalar engine -- pinned by ``tests/sim/test_vectorized.py``
+and ``tests/sim/test_grid.py``.  The scalar engine therefore survives as the
+readable reference implementation; this kernel is the fast path.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __docformat__ = "numpy"
 
@@ -49,14 +51,10 @@ from ..workloads.profiles import ModelSparsityProfile
 __all__ = [
     "MAX_FTA_THRESHOLD",
     "PROFILE_ARRAYS_CACHE_SIZE",
-    "CONFIG_KNOBS_CACHE_SIZE",
     "ProfileArrays",
     "BatchActivity",
     "profile_arrays",
-    "invalidate_profile_arrays",
     "config_knobs",
-    "simulate_layers",
-    "concatenate_batches",
     "simulate_grid",
     "simulate_jobs",
 ]
@@ -193,9 +191,7 @@ _ARRAYS_CACHE: "OrderedDict[int, Tuple[weakref.ref, ProfileArrays]]" = (
 _ARRAYS_CACHE_LOCK = threading.Lock()
 
 
-def profile_arrays(
-    profile: ModelSparsityProfile, *, bypass_cache: bool = False
-) -> "ProfileArrays":
+def profile_arrays(profile: ModelSparsityProfile) -> "ProfileArrays":
     """Memoised :class:`ProfileArrays` of one live profile object.
 
     :class:`ProfileArrays` is a pure function of its profile, so flattening
@@ -211,18 +207,12 @@ def profile_arrays(
     ----------
     profile : ModelSparsityProfile
         The profiled workload to flatten.
-    bypass_cache : bool, optional
-        When True, always build a fresh :class:`ProfileArrays` and leave
-        the cache untouched (useful while mutating profiling code, and for
-        the cache's own equivalence tests).
 
     Returns
     -------
     ProfileArrays
-        The flattened (and, unless bypassed, shared) per-layer arrays.
+        The flattened (and shared) per-layer arrays.
     """
-    if bypass_cache:
-        return ProfileArrays.from_profile(profile)
     key = id(profile)
     with _ARRAYS_CACHE_LOCK:
         entry = _ARRAYS_CACHE.get(key)
@@ -246,67 +236,13 @@ def profile_arrays(
     return arrays
 
 
-def invalidate_profile_arrays(
-    profile: Optional[ModelSparsityProfile] = None,
-) -> int:
-    """Drop memoised :func:`profile_arrays` entries.
-
-    Parameters
-    ----------
-    profile : ModelSparsityProfile, optional
-        Evict only this profile's entry; ``None`` (default) clears the
-        whole cache -- the invalidation hook to call after monkey-patching
-        profiling or mapping code under test.
-
-    Returns
-    -------
-    int
-        Number of entries evicted.
-    """
-    with _ARRAYS_CACHE_LOCK:
-        if profile is None:
-            count = len(_ARRAYS_CACHE)
-            _ARRAYS_CACHE.clear()
-            return count
-        entry = _ARRAYS_CACHE.get(id(profile))
-        if entry is not None and entry[0]() is profile:
-            del _ARRAYS_CACHE[id(profile)]
-            return 1
-        return 0
-
-
-# ---------------------------------------------------------------------------
-# Per-config hardware-knob memoisation
-# ---------------------------------------------------------------------------
-#: Maximum memoised :func:`config_knobs` entries.  Resolved configurations
-#: are tiny frozen value objects; a sweep grid rarely visits more than a few
-#: dozen distinct ones, so the bound only guards against pathological
-#: config-generating loops.
-CONFIG_KNOBS_CACHE_SIZE = 256
-
-#: ``id(config) -> (config, knobs)``.  Keyed by object identity -- holding
-#: the config alive makes a recycled ``id()`` impossible while the entry
-#: exists -- because hashing a frozen nested dataclass on every lookup costs
-#: more than the extraction it would save.  A miss degrades to the plain
-#: seven-attribute extraction, so equal-but-distinct configs never pay more
-#: than the pre-memo code did.
-_KNOBS_CACHE: "OrderedDict[int, Tuple[DBPIMConfig, Tuple]]" = OrderedDict()
-_KNOBS_CACHE_LOCK = threading.Lock()
-
-
 def config_knobs(
     config: DBPIMConfig,
 ) -> Tuple[int, int, int, int, int, bool, bool]:
-    """Memoised hardware-knob vector of one resolved configuration.
+    """Hardware-knob vector of one resolved configuration.
 
-    The batch kernels consume a configuration as seven plain scalars --
-    ``(rows, columns, input_bits, weight_bits, num_macros, weight_sparsity,
-    input_sparsity)`` -- which :func:`simulate_jobs` used to re-extract with
-    seven Python attribute-chasing list comprehensions on every dispatch.
-    The extraction is memoised per live resolved-configuration object
-    (identity-keyed, LRU-bounded by :data:`CONFIG_KNOBS_CACHE_SIZE`,
-    thread-safe), so repeated shard dispatches and warm serve sessions that
-    reuse their config objects skip the O(jobs) Python setup.
+    The batch kernel consumes a configuration as seven plain scalars, which
+    :func:`simulate_grid` deduplicates on.
 
     Parameters
     ----------
@@ -319,13 +255,7 @@ def config_knobs(
         ``(rows, columns, input_bits, weight_bits, num_macros,
         weight_sparsity, input_sparsity)`` as native Python scalars.
     """
-    key = id(config)
-    with _KNOBS_CACHE_LOCK:
-        entry = _KNOBS_CACHE.get(key)
-        if entry is not None and entry[0] is config:
-            _KNOBS_CACHE.move_to_end(key)
-            return entry[1]
-    knobs = (
+    return (
         int(config.macro.rows),
         int(config.macro.columns),
         int(config.macro.input_bits),
@@ -334,12 +264,6 @@ def config_knobs(
         bool(config.weight_sparsity),
         bool(config.input_sparsity),
     )
-    with _KNOBS_CACHE_LOCK:
-        _KNOBS_CACHE[key] = (config, knobs)
-        _KNOBS_CACHE.move_to_end(key)
-        while len(_KNOBS_CACHE) > CONFIG_KNOBS_CACHE_SIZE:
-            _KNOBS_CACHE.popitem(last=False)
-    return knobs
 
 
 @dataclass(frozen=True)
@@ -387,166 +311,6 @@ _THRESHOLD_DIVISORS = np.maximum(
 )[None, :]
 
 
-def simulate_layers(
-    arrays: "ProfileArrays",
-    *,
-    rows: np.ndarray,
-    columns: np.ndarray,
-    input_bits: np.ndarray,
-    weight_bits: np.ndarray,
-    num_macros: np.ndarray,
-    weight_sparsity: np.ndarray,
-    input_sparsity: np.ndarray,
-    energy_model: EnergyModel,
-) -> BatchActivity:
-    """Simulate a batch of layers as one vectorized pass.
-
-    Evaluates, for every layer of the batch at once, the mapping decisions
-    of :func:`repro.compiler.mapping.map_layer` (threshold-grouped filter
-    iterations, input tiling, IPU-gated cycles per pass), the activity
-    accounting of :meth:`repro.sim.cycle_model.CycleModel.run_layer` and the
-    component energies of :meth:`repro.arch.energy.EnergyModel.layer_energy`
-    -- producing numbers bitwise identical to the scalar engine.
-
-    Parameters
-    ----------
-    arrays : ProfileArrays
-        The batch of layers (possibly a concatenation of several profiles).
-    rows, columns, input_bits, weight_bits, num_macros : numpy.ndarray
-        Per-layer hardware parameters (``int64``, broadcastable against the
-        batch length).  Passing them as arrays lets one batch span several
-        hardware configurations.
-    weight_sparsity, input_sparsity : numpy.ndarray
-        Per-layer boolean sparsity-support flags (the Fig. 7 variant each
-        layer is evaluated under).
-    energy_model : EnergyModel
-        Prices the activity counts (shared across the batch).
-
-    Returns
-    -------
-    BatchActivity
-        Per-layer cycles, cell activity and component energies.
-    """
-    out_channels = arrays.out_channels
-    weight_sparsity = np.asarray(weight_sparsity, dtype=bool)
-    input_sparsity = np.asarray(input_sparsity, dtype=bool)
-
-    # --- filter grouping (map_layer) -----------------------------------
-    # Sparse mode: filters are grouped by FTA threshold; a row of
-    # ``columns`` cells fits ``columns // max(φ_th, 1)`` filters.  The
-    # per-layer histogram turns the scalar per-unique-threshold loop into a
-    # closed-form sum over the 5 possible thresholds (empty bins add 0).
-    thresholds = np.arange(MAX_FTA_THRESHOLD + 1, dtype=np.int64)
-    per_macro = np.maximum(
-        np.asarray(columns, dtype=np.int64)[:, None]
-        // np.maximum(thresholds, 1)[None, :],
-        1,
-    )
-    per_pass = per_macro * np.asarray(num_macros, dtype=np.int64)[:, None]
-    iterations_sparse = np.maximum(
-        _ceil_div(arrays.threshold_counts, per_pass).sum(axis=1), 1
-    )
-    filters_per_pass_sparse = (
-        (per_pass * arrays.threshold_counts).sum(axis=1) / out_channels
-    )
-    # Dense mode: a row holds ``columns // weight_bits`` plain filters.
-    dense_per_pass = (columns // weight_bits) * num_macros
-    iterations_dense = _ceil_div(out_channels, dense_per_pass)
-
-    filter_iterations = np.where(
-        weight_sparsity, iterations_sparse, iterations_dense
-    )
-    # ``int()`` in the scalar mapping truncates the sparse average; the
-    # dense count is already integral, so one truncation covers both.
-    filters_per_pass = np.where(
-        weight_sparsity, filters_per_pass_sparse, dense_per_pass
-    ).astype(np.int64)
-
-    # --- bit-serial cycles per pass (IPU gating) -----------------------
-    cycles_per_pass = np.where(
-        input_sparsity,
-        np.clip(arrays.input_active_columns, 0.0, input_bits),
-        np.asarray(input_bits, dtype=np.float64),
-    )
-
-    # --- tiling and totals ---------------------------------------------
-    rows_used = np.minimum(arrays.reduction, rows)
-    input_tiles = _ceil_div(arrays.reduction, rows)
-    weights_per_pass_cells = columns * rows_used * num_macros
-    total_passes = filter_iterations * input_tiles * arrays.output_positions
-    cycles = total_passes * cycles_per_pass
-    cell_activations = cycles * weights_per_pass_cells
-
-    # --- effectiveness (U_act numerator) -------------------------------
-    # Sparse storage wastes only the FTA padding slots; dense storage
-    # wastes every zero bit of the binary weights.
-    effective = np.where(
-        weight_sparsity,
-        cell_activations * arrays.storage_utilization,
-        cell_activations * (1.0 - arrays.binary_zero_ratio),
-    )
-
-    # --- activity counts priced by the energy model --------------------
-    post_processing_ops = cycles * filters_per_pass
-    ipu_bits = arrays.activation_count * input_bits
-    meta_bytes = np.where(weight_sparsity, arrays.weight_count, 0)
-    feature_bytes = (
-        arrays.activation_count + out_channels * arrays.output_positions
-    )
-    energy = energy_model.layer_energy_arrays(
-        cycles=cycles,
-        cell_activations=cell_activations,
-        adder_tree_ops=cell_activations,
-        post_processing_ops=post_processing_ops,
-        ipu_bits=ipu_bits,
-        meta_rf_bytes=meta_bytes,
-        buffer_bytes=arrays.weight_count + feature_bytes,
-    )
-    return BatchActivity(
-        cycles=cycles,
-        cell_activations=cell_activations,
-        effective_cell_activations=effective,
-        macs=arrays.macs,
-        energy=energy,
-    )
-
-
-def concatenate_batches(batches: Sequence[ProfileArrays]) -> ProfileArrays:
-    """Concatenate several :class:`ProfileArrays` into one larger batch.
-
-    Parameters
-    ----------
-    batches : sequence of ProfileArrays
-        The per-model (or per-job) batches, in batch order.
-
-    Returns
-    -------
-    ProfileArrays
-        One structure-of-arrays batch whose layers are the concatenation
-        of every input batch's layers (a single-element sequence is
-        returned as-is, no copies).
-    """
-    if len(batches) == 1:
-        return batches[0]
-    return ProfileArrays(
-        layers=tuple(layer for batch in batches for layer in batch.layers),
-        out_channels=np.concatenate([b.out_channels for b in batches]),
-        reduction=np.concatenate([b.reduction for b in batches]),
-        output_positions=np.concatenate([b.output_positions for b in batches]),
-        activation_count=np.concatenate([b.activation_count for b in batches]),
-        weight_count=np.concatenate([b.weight_count for b in batches]),
-        macs=np.concatenate([b.macs for b in batches]),
-        input_active_columns=np.concatenate(
-            [b.input_active_columns for b in batches]
-        ),
-        storage_utilization=np.concatenate(
-            [b.storage_utilization for b in batches]
-        ),
-        binary_zero_ratio=np.concatenate([b.binary_zero_ratio for b in batches]),
-        threshold_counts=np.concatenate([b.threshold_counts for b in batches]),
-    )
-
-
 def simulate_grid(
     arrays: "ProfileArrays",
     configs: Sequence[DBPIMConfig],
@@ -554,13 +318,16 @@ def simulate_grid(
 ) -> BatchActivity:
     """Evaluate ONE flattened profile against a whole config grid.
 
-    The config-fused kernel: instead of replicating the profile once per
-    configuration (the :func:`simulate_jobs` per-job path concatenates
-    ``len(configs)`` copies of the layer arrays and ``np.repeat``-broadcasts
-    the knobs), the profile stays a single ``(layers,)`` batch and the
-    configuration axis becomes the leading dimension of a 2-D
-    ``(config, layer)`` broadcast pass.  Two levels of deduplication make
-    the pass cheaper than its flattened footprint:
+    Evaluates, for every (configuration, layer) pair at once, the mapping
+    decisions of :func:`repro.compiler.mapping.map_layer` (threshold-grouped
+    filter iterations, input tiling, IPU-gated cycles per pass), the
+    activity accounting of
+    :meth:`repro.sim.cycle_model.CycleModel.run_layer` and the component
+    energies of :meth:`repro.arch.energy.EnergyModel.layer_energy`.  The
+    profile stays a single ``(layers,)`` batch and the configuration axis
+    becomes the leading dimension of a 2-D ``(config, layer)`` broadcast
+    pass.  Two levels of deduplication make the pass cheaper than its
+    flattened footprint:
 
     * duplicate *resolved configurations* (a preset grid crossed with the
       Fig. 7 variants collapses heavily once sparsity flags are applied)
@@ -571,9 +338,9 @@ def simulate_grid(
       num_macros)`` -- not on the sparsity flags, so the four variants of
       one preset share a single geometry pass.
 
-    Every arithmetic step still mirrors :func:`simulate_layers`
-    operation-for-operation, so the result is **bitwise identical** to the
-    per-job path (pinned by ``tests/sim/test_grid.py``).
+    Every arithmetic step mirrors the scalar engine operation-for-operation,
+    so the result is **bitwise identical** to it (pinned by
+    ``tests/sim/test_grid.py``).
 
     Parameters
     ----------
@@ -640,6 +407,11 @@ def simulate_grid(
     out_channels = arrays.out_channels[None, :]
 
     # --- filter grouping (map_layer), per unique geometry --------------
+    # Sparse mode: filters are grouped by FTA threshold; a row of
+    # ``columns`` cells fits ``columns // max(φ_th, 1)`` filters.  The
+    # per-layer histogram turns the scalar per-unique-threshold loop into a
+    # closed-form sum over the 5 possible thresholds (empty bins add 0).
+    # Dense mode: a row holds ``columns // weight_bits`` plain filters.
     per_macro = np.maximum(
         columns_g[:, None] // _THRESHOLD_DIVISORS, 1
     )
@@ -668,6 +440,8 @@ def simulate_grid(
     )
 
     # --- gather to unique configs, apply sparsity flags ----------------
+    # ``int()`` in the scalar mapping truncates the sparse average; the
+    # dense count is already integral, so one truncation covers both.
     filter_iterations = np.where(
         ws_u, iterations_sparse[geo_inverse], iterations_dense[geo_inverse]
     )
@@ -684,7 +458,9 @@ def simulate_grid(
         np.asarray(input_bits_g, dtype=np.float64)[geo_inverse][:, None],
     )
 
-    # --- tiling, totals, effectiveness (same op order as the 1-D pass) -
+    # --- tiling, totals, effectiveness (same op order as the scalar) ---
+    # Sparse storage wastes only the FTA padding slots; dense storage
+    # wastes every zero bit of the binary weights.
     total_passes = (
         filter_iterations
         * input_tiles[geo_inverse]
@@ -757,8 +533,6 @@ def simulate_jobs(
     job_arrays: Sequence[ProfileArrays],
     job_configs: Sequence[DBPIMConfig],
     energy_model: EnergyModel,
-    *,
-    fuse: bool = True,
 ) -> BatchActivity:
     """Shard-sized batch entry point: many (profile, config) jobs, one pass.
 
@@ -766,20 +540,12 @@ def simulate_jobs(
     :meth:`repro.sim.cycle_model.CycleModel.run_batch`) ride: each job is a
     whole workload profile already flattened to :class:`ProfileArrays`,
     paired with the (variant-resolved) hardware configuration it should be
-    evaluated under.
-
-    By default (``fuse=True``) runs of consecutive jobs that share the
-    *same* :class:`ProfileArrays` object -- the shape every grid dispatch
+    evaluated under.  Runs of consecutive jobs that share the *same*
+    :class:`ProfileArrays` object -- the shape every grid dispatch
     produces, e.g. one model evaluated under the four Fig. 7 variants or a
-    whole preset grid -- are dispatched to the config-fused
-    :func:`simulate_grid` kernel, which never materialises per-config
-    profile copies and deduplicates repeated configurations and macro
-    geometries.  With ``fuse=False`` the original per-job path runs: jobs
-    are concatenated into one batch, the per-job hardware knobs are
-    broadcast to per-layer arrays, and the whole shard is evaluated by a
-    single :func:`simulate_layers` call.  Both paths are bitwise identical
-    to evaluating the jobs one at a time (the unfused path is the pinned
-    reference of ``tests/sim/test_grid.py``).
+    whole preset grid -- are dispatched to :func:`simulate_grid` as one
+    segment, and the segment results are concatenated in job order.  The
+    result is bitwise identical to evaluating the jobs one at a time.
 
     Parameters
     ----------
@@ -790,9 +556,6 @@ def simulate_jobs(
         resolved to the Fig. 7 variant), aligned with ``job_arrays``.
     energy_model : EnergyModel
         Prices the activity counts (shared across the batch).
-    fuse : bool, optional
-        Route same-profile job runs through the config-fused grid kernel
-        (default).  ``False`` forces the legacy replicate-and-repeat path.
 
     Returns
     -------
@@ -812,43 +575,17 @@ def simulate_jobs(
         )
     if not job_arrays:
         raise ValueError("simulate_jobs requires at least one job")
-    if fuse:
-        activities: List[BatchActivity] = []
-        start = 0
-        total = len(job_arrays)
-        while start < total:
-            stop = start + 1
-            while (
-                stop < total and job_arrays[stop] is job_arrays[start]
-            ):
-                stop += 1
-            activities.append(
-                simulate_grid(
-                    job_arrays[start],
-                    job_configs[start:stop],
-                    energy_model,
-                )
+    activities: List[BatchActivity] = []
+    start = 0
+    total = len(job_arrays)
+    while start < total:
+        stop = start + 1
+        while stop < total and job_arrays[stop] is job_arrays[start]:
+            stop += 1
+        activities.append(
+            simulate_grid(
+                job_arrays[start], job_configs[start:stop], energy_model
             )
-            start = stop
-        return _concat_activities(activities)
-    lengths = np.array([len(arrays) for arrays in job_arrays], dtype=np.int64)
-    batch = concatenate_batches(job_arrays)
-    knob_rows = [config_knobs(config) for config in job_configs]
-
-    def _per_layer(index: int, dtype) -> np.ndarray:
-        return np.repeat(
-            np.array([knobs[index] for knobs in knob_rows], dtype=dtype),
-            lengths,
         )
-
-    return simulate_layers(
-        batch,
-        rows=_per_layer(0, np.int64),
-        columns=_per_layer(1, np.int64),
-        input_bits=_per_layer(2, np.int64),
-        weight_bits=_per_layer(3, np.int64),
-        num_macros=_per_layer(4, np.int64),
-        weight_sparsity=_per_layer(5, bool),
-        input_sparsity=_per_layer(6, bool),
-        energy_model=energy_model,
-    )
+        start = stop
+    return _concat_activities(activities)

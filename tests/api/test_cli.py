@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.api.cli import main
 from repro.api.results import ExperimentResult, SweepResult
 
@@ -48,6 +46,29 @@ class TestList:
         assert engines["vectorized"]["cycle_model"] is True
         assert engines["trace"]["cycle_model"] is False
         assert engines["trace"]["trace_class"] is True
+
+    def test_json_engine_entries_are_the_registry(self, capsys):
+        from repro.sim.engines import engine_names
+
+        assert main(["list", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [entry["name"] for entry in payload["engines"]] == list(
+            engine_names()
+        )
+        for entry in payload["engines"]:
+            assert set(entry) == {
+                "name", "title", "cycle_model", "batch", "trace_class",
+            }
+
+    def test_engine_rows_are_registered_engines_only(self, capsys):
+        from repro.sim.engines import engine_names
+
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        rows = out.split("engines:\n", 1)[1].split("configs:", 1)[0]
+        names = [line.split()[0] for line in rows.splitlines() if line]
+        assert names == list(engine_names())
+        assert "unavailable" not in out
 
 
 class TestRun:
@@ -112,35 +133,11 @@ class TestRun:
         assert "unknown engine" in err
         assert "scalar" in err and "vectorized" in err and "trace" in err
 
-    def test_absent_engine_exits_2_with_install_hint(self, capsys):
-        from repro.sim.engines import jit as jit_module
-
-        if jit_module.NUMBA_AVAILABLE:
-            pytest.skip("numba installed: jit is a real engine here")
+    def test_jit_is_an_ordinary_unknown_engine(self, capsys):
         assert main(["run", "fig7", "--engine", "jit"]) == 2
         err = capsys.readouterr().err
-        assert "not installed" in err
-        assert jit_module.JIT_INSTALL_HINT in err
-
-    def test_list_reports_engine_availability(self, capsys):
-        from repro.sim.engines import absent_engines
-
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name, hint in absent_engines().items():
-            assert f"{name}" in out and "unavailable" in out and hint in out
-
-    def test_list_json_reports_engine_availability(self, capsys):
-        from repro.sim.engines import absent_engines, engine_names
-
-        assert main(["list", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        by_name = {entry["name"]: entry for entry in payload["engines"]}
-        for name in engine_names():
-            assert by_name[name]["available"] is True
-        for name, hint in absent_engines().items():
-            assert by_name[name]["available"] is False
-            assert by_name[name]["install_hint"] == hint
+        assert "unknown engine 'jit'" in err
+        assert "not installed" not in err
 
     def test_program_runs_transformer_workload(self, capsys):
         argv = [

@@ -5,23 +5,22 @@ contracts (unknown names list the registered engines sorted) and the
 ``EngineSpec`` validation rules every backend author hits first.
 """
 
+import importlib
+
 import pytest
 
 from repro.sim.engines import (
     EngineOutcome,
     EngineSpec,
-    absent_engines,
     cycle_model_engines,
     engine_names,
     get_engine,
     list_engines,
-    register_absent_engine,
     register_engine,
     resolve_cycle_model_engine,
     temporary_engine,
     unregister_engine,
 )
-from repro.sim.engines import jit as jit_module
 
 
 def _dummy_spec(name="dummy", **overrides):
@@ -44,6 +43,20 @@ def _dummy_spec(name="dummy", **overrides):
 class TestBuiltins:
     def test_builtin_registration_order(self):
         assert engine_names() == ("scalar", "vectorized", "trace")
+
+    def test_no_jit_tier(self):
+        assert "jit" not in engine_names()
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.engines.jit")
+
+    def test_unknown_name_message_lists_only_registered(self):
+        with pytest.raises(ValueError) as excinfo:
+            get_engine("jit")
+        message = str(excinfo.value)
+        assert message == (
+            "unknown engine 'jit'; registered engines: "
+            "['scalar', 'trace', 'vectorized']"
+        )
 
     def test_capability_flags(self):
         assert get_engine("scalar").batch is False
@@ -132,60 +145,3 @@ class TestSpecValidation:
     def test_non_cycle_model_engine_needs_no_run_jobs(self):
         spec = _dummy_spec(cycle_model=False, batch=False, run_jobs=None)
         assert spec.run_jobs is None
-
-
-class TestAbsentEngines:
-    """The known-but-uninstalled tier of the registry (optional extras)."""
-
-    def test_register_absent_requires_name_and_rejects_registered(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            register_absent_engine("", "pip install something")
-        with pytest.raises(ValueError, match="registered"):
-            register_absent_engine("vectorized", "pip install something")
-
-    def test_absent_engine_error_carries_install_hint(self):
-        register_absent_engine("phantom", "pip install 'dbpim-repro[ph]'")
-        try:
-            assert (
-                absent_engines()["phantom"] == "pip install 'dbpim-repro[ph]'"
-            )
-            with pytest.raises(ValueError, match="not installed"):
-                get_engine("phantom")
-            with pytest.raises(ValueError, match=r"pip install 'dbpim-repro\[ph\]'"):
-                get_engine("phantom")
-        finally:
-            absent_engines()  # returns a copy; clean the real registry
-            from repro.sim.engines import _ABSENT
-
-            _ABSENT.pop("phantom", None)
-
-    def test_registering_promotes_out_of_absent(self):
-        register_absent_engine("phantom2", "pip install x")
-        register_engine(_dummy_spec(name="phantom2"))
-        try:
-            assert "phantom2" not in absent_engines()
-            assert "phantom2" in engine_names()
-        finally:
-            unregister_engine("phantom2")
-
-    @pytest.mark.skipif(
-        jit_module.NUMBA_AVAILABLE, reason="numba installed: jit registered"
-    )
-    def test_jit_absent_without_numba(self):
-        assert "jit" not in engine_names()
-        assert absent_engines()["jit"] == jit_module.JIT_INSTALL_HINT
-        with pytest.raises(ValueError) as excinfo:
-            get_engine("jit")
-        message = str(excinfo.value)
-        assert "not installed" in message
-        assert jit_module.JIT_INSTALL_HINT in message
-
-    @pytest.mark.skipif(
-        not jit_module.NUMBA_AVAILABLE,
-        reason="numba missing: jit marked absent",
-    )
-    def test_jit_registered_with_numba(self):
-        spec = get_engine("jit")
-        assert spec.cycle_model and spec.batch
-        assert spec.cache_token == jit_module.JIT_CACHE_TOKEN
-        assert "jit" not in absent_engines()
