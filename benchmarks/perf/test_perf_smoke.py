@@ -24,7 +24,6 @@ def _load(name: str):
 
 bench_cycle_model = _load("bench_cycle_model")
 bench_compile = _load("bench_compile")
-bench_sweep = _load("bench_sweep")
 
 
 def test_bench_emits_report(tmp_path):
@@ -103,35 +102,6 @@ def test_bench_compile_rejects_bad_repeats(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_sweep_emits_report(tmp_path):
-    output = tmp_path / "BENCH_sweep.json"
-    code = bench_sweep.main(
-        [
-            "--models", "alexnet",
-            "--executors", "serial", "process",
-            "--repeats", "1",
-            "--output", str(output),
-        ]
-    )
-    assert code == 0
-    report = json.loads(output.read_text())
-    assert report["benchmark"] == "sweep"
-    assert report["models"] == ["alexnet"]
-    assert report["cpu_count"] >= 1
-    for executor in ("serial", "process"):
-        assert report["executors"][executor]["cold_s"] > 0
-    assert report["warm_thread_s"] > 0
-    assert report["resume_byte_identical"] is True
-
-
-def test_bench_sweep_rejects_bad_repeats(tmp_path, capsys):
-    import pytest
-
-    with pytest.raises(SystemExit):
-        bench_sweep.main(["--repeats", "0"])
-    capsys.readouterr()
-
-
 bench_serve = _load("bench_serve")
 
 
@@ -158,44 +128,6 @@ def test_bench_serve_emits_report(tmp_path):
     for entry in report["throughput"].values():
         assert entry["requests"] == 8
         assert entry["requests_per_s"] > 0
-
-
-bench_store = _load("bench_store")
-
-
-def test_bench_store_emits_report(tmp_path):
-    output = tmp_path / "BENCH_store.json"
-    code = bench_store.main(
-        ["--points", "24", "--repeats", "1", "--output", str(output)]
-    )
-    assert code == 0
-    report = json.loads(output.read_text())
-    assert report["benchmark"] == "store"
-    assert report["experiment"] == "table4"
-    assert report["points"] == 24
-    assert report["cpu_count"] >= 1
-    assert report["warm_files_s"] > 0 and report["warm_packed_s"] > 0
-    assert report["keys"]["batched_s"] > 0
-    assert report["warm_packed_speedup"] == (
-        report["warm_files_s"] / report["warm_packed_s"]
-    )
-    assert report["keys_batched_speedup"] == (
-        report["keys"]["per_point_s"] / report["keys"]["batched_s"]
-    )
-    # No timing floors here: 24 points on a shared CI box is noise.  The
-    # committed BENCH_store.json carries the real 2048-point numbers.
-    assert isinstance(report["meets_warm_floor"], bool)
-    assert isinstance(report["meets_keys_floor"], bool)
-
-
-def test_bench_store_rejects_bad_arguments(tmp_path, capsys):
-    import pytest
-
-    with pytest.raises(SystemExit):
-        bench_store.main(["--repeats", "0"])
-    with pytest.raises(SystemExit):
-        bench_store.main(["--points", "0"])
-    capsys.readouterr()
 
 
 def test_bench_serve_rejects_bad_arguments(tmp_path, capsys):

@@ -43,7 +43,6 @@ REQUIRED_SYMBOLS = (
     "repro.api.sweep.SweepPointError",
     "repro.api.sweep.run_shard",
     "repro.api.sweep.run_sweep",
-    "repro.api.sweep.EXECUTORS",
     "repro.api.results.SweepStats",
     "repro.api.experiment.Experiment.run_sweep",
     "repro.sim.vectorized.simulate_jobs",
@@ -83,20 +82,17 @@ REQUIRED_SYMBOLS = (
     "repro.store.PackedResultStore.locate",
     "repro.store.PackedResultStore.get_many",
     "repro.store.PackedResultStore.append_many",
-    "repro.store.PackedResultStore.rebuild_index",
     "repro.store.PackedResultStore.ingest_files",
     "repro.store.PackedStoreError",
     "repro.store.PackedStoreLockedError",
     "repro.store.migrate_files_to_packed",
     "repro.store.ResultStore",
-    "repro.store.FileResultStore",
     "repro.store.open_store",
     "repro.api.execution.SessionPool",
     "repro.api.execution.Execution",
     "repro.api.execution.execute_points",
     "repro.api.execution.append_results",
     "repro.api.execution.merge_key",
-    "repro.api.sweep.CACHE_BACKENDS",
     "repro.api.sweep.cache_keys_for_grid",
     "repro.api.sweep.SweepPoint.cache_key",
     "repro.api.sweep.DEFAULT_TRANSPORT",

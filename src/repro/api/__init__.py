@@ -18,7 +18,7 @@ experiments programmatically:
   partitioning grids by cache state, pluggable shard transports
   (``thread`` / ``process`` / ``serial`` local pools plus the distributed
   ``broker`` fabric driving ``repro worker`` fleets; see
-  :mod:`repro.dist`), an on-disk JSON result cache keyed by configuration
+  :mod:`repro.dist`), an on-disk packed result store keyed by configuration
   content hashes, and a resumable append-only JSONL run journal
   (:class:`SweepJournal`);
 * :mod:`repro.api.cli` -- the ``repro`` console script built on all of the
@@ -71,11 +71,7 @@ from .results import (
     WeightSparsityRow,
 )
 from .sweep import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
-    DEFAULT_EXECUTOR,
     DEFAULT_TRANSPORT,
-    EXECUTORS,
     ShardPlan,
     ShardPlanner,
     SweepJournal,
@@ -129,12 +125,8 @@ __all__ = [
     "format_result",
     "format_sweep",
     # sweep service
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "DEFAULT_TRANSPORT",
     "transport_names",
-    "CACHE_BACKENDS",
-    "DEFAULT_CACHE_BACKEND",
     "SweepPoint",
     "SweepShard",
     "ShardPlan",

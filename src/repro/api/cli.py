@@ -14,7 +14,7 @@ The subcommands map the whole evaluation section onto the façade:
   distributed ``broker`` fabric via ``--transport broker --sweep-dir``;
   on-disk result caching, append-only JSONL run journal); re-invoking
   with ``--resume`` restores journaled points instead of recomputing
-  them.  ``--executor`` remains as a deprecated alias of ``--transport``;
+  them;
 * ``repro worker SWEEP_DIR`` -- attach a stateless worker process to a
   broker-transport sweep: lease cold shards, execute them, stream the
   results back as journal fragments; start any number, kill any of them
@@ -47,13 +47,7 @@ from .experiment import (
 )
 from ..dist.transport import list_transports, transport_names
 from .formatting import format_result, format_sweep
-from .sweep import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
-    DEFAULT_TRANSPORT,
-    EXECUTORS,
-    run_sweep,
-)
+from .sweep import DEFAULT_TRANSPORT, run_sweep
 
 __all__ = ["CLIError", "TRACE_ENGINE", "build_parser", "main"]
 
@@ -240,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro worker DIR')",
     )
     sweep_parser.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="deprecated alias of --transport (local backends only)",
-    )
-    sweep_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="target shard count (default: twice the worker count)",
     )
@@ -259,15 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="on-disk JSON result cache directory",
-    )
-    sweep_parser.add_argument(
-        "--cache-backend", choices=CACHE_BACKENDS,
-        default=DEFAULT_CACHE_BACKEND,
-        help="result cache layout inside --cache-dir: 'files' is one JSON "
-        "file per point (legacy), 'packed' is the append-only single-"
-        "artifact store (batched warm path; migrate an existing directory "
-        "with repro.store.migrate_files_to_packed)",
+        help="on-disk result store directory (one append-only pack.data; "
+        "convert a per-file cache directory with "
+        "repro.store.migrate_files_to_packed)",
     )
     sweep_parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -307,14 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="on-disk JSON result cache shared with 'repro sweep'",
-    )
-    serve_parser.add_argument(
-        "--cache-backend", choices=CACHE_BACKENDS,
-        default=DEFAULT_CACHE_BACKEND,
-        help="layout of --cache-dir: 'files' (one JSON per point) or "
-        "'packed' (append-only store; the hot-cache miss path reads it in "
-        "batch)",
+        help="on-disk result store shared with 'repro sweep' (the "
+        "hot-cache miss path reads it in batch)",
     )
     serve_parser.add_argument(
         "--allow-heavy", action="store_true",
@@ -495,12 +473,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     _check_engine(args.engine, cycle_model_only=True)
     if args.transport is not None:
         _check_transport(args.transport)
-    if args.executor is not None and args.transport is not None:
-        if args.executor != args.transport:
-            raise CLIError(
-                f"--executor {args.executor} (deprecated) conflicts with "
-                f"--transport {args.transport}; pass only --transport"
-            )
     transport = args.transport
     if transport is not None and any(
         spec.name == transport and spec.distributed
@@ -530,11 +502,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         cache_dir=args.cache_dir,
         engine=args.engine,
-        executor=args.executor,
         shards=args.shards,
         journal=args.journal,
         resume=args.resume,
-        cache_backend=args.cache_backend,
         transport=transport,
         sweep_dir=args.sweep_dir,
     )
@@ -603,7 +573,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         hot_cache_size=args.hot_cache_size,
         hot_cache_ttl_s=args.hot_cache_ttl if args.hot_cache_ttl > 0 else None,
         cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
         allow_heavy=args.allow_heavy,
     )
     server = make_server(host=args.host, port=args.port, config=config)

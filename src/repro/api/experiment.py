@@ -908,11 +908,9 @@ class Experiment:
         max_workers: Optional[int] = None,
         cache_dir: Optional[Any] = None,
         params_by_experiment: Optional[Mapping[str, Mapping[str, Any]]] = None,
-        executor: Optional[str] = None,
         shards: Optional[int] = None,
         journal: Optional[Any] = None,
         resume: bool = False,
-        cache_backend: Optional[str] = None,
         transport: Optional[str] = None,
         sweep_dir: Optional[Any] = None,
         transport_options: Optional[Mapping[str, Any]] = None,
@@ -935,16 +933,11 @@ class Experiment:
                 experiment).
             models: workload names for the model-parameterised experiments.
             max_workers: worker threads/processes.
-            cache_dir: directory for the JSON result cache.
+            cache_dir: directory of the packed result store.
             params_by_experiment: extra per-experiment parameters.
-            executor: deprecated alias for ``transport`` (see
-                :func:`repro.api.sweep.run_sweep`).
             shards: target shard count.
             journal: path of the append-only ``sweep.jsonl`` run journal.
             resume: restore finished points from ``journal``.
-            cache_backend: ``"files"`` or ``"packed"`` (``None`` for
-                :data:`repro.api.sweep.DEFAULT_CACHE_BACKEND`; see
-                :func:`repro.api.sweep.run_sweep`).
             transport: shard transport by registry name (``None`` for
                 :data:`repro.api.sweep.DEFAULT_TRANSPORT`; see
                 :func:`repro.api.sweep.run_sweep`).
@@ -957,10 +950,8 @@ class Experiment:
             The :class:`~repro.api.results.SweepResult` of the grid.
         """
         from .configs import list_configs, register_config
-        from .sweep import DEFAULT_CACHE_BACKEND, run_sweep as _run_sweep
+        from .sweep import run_sweep as _run_sweep
 
-        if cache_backend is None:
-            cache_backend = DEFAULT_CACHE_BACKEND
         if self.config_name not in list_configs():
             register_config(self.config_name, self.config)
         return _run_sweep(
@@ -972,11 +963,9 @@ class Experiment:
             cache_dir=cache_dir,
             params_by_experiment=params_by_experiment,
             engine=self.engine,
-            executor=executor,
             shards=shards,
             journal=journal,
             resume=resume,
-            cache_backend=cache_backend,
             transport=transport,
             sweep_dir=sweep_dir,
             transport_options=transport_options,

@@ -28,8 +28,7 @@ that fan-out into a small *service*:
   I/O-bound sweeps; keeps user-registered presets visible without
   shipping them), ``"serial"``, or ``"broker"`` (a distributed
   lease-and-requeue fabric coordinating ``repro worker`` processes over a
-  shared ``sweep_dir``; every transport produces byte-identical results;
-  the historical ``executor=`` knob remains as a deprecated alias) --
+  shared ``sweep_dir``; every transport produces byte-identical results) --
   and, when a ``journal`` path is given, streams every finished shard to
   an append-only ``sweep.jsonl`` (:class:`SweepJournal`).  The coordinator
   owns the result store (:func:`repro.store.open_store`): it restores warm
@@ -44,9 +43,9 @@ that fan-out into a small *service*:
 
 The result store is keyed by a content hash of the point (experiment id,
 canonical parameters, seed, engine, schema/package versions and the full
-hardware configuration digest); entries are written atomically and
-unreadable entries are treated as misses with a warning instead of
-poisoning later runs.
+hardware configuration digest); records are appended under a writer lock
+and fsynced, and damaged records are treated as misses with a warning
+instead of poisoning later runs.
 
 Example::
 
@@ -89,12 +88,7 @@ from ..dist.transport import (
 )
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import get_engine, resolve_cycle_model_engine
-from ..store import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
-    ResultStore,
-    open_store,
-)
+from ..store import ResultStore, open_store
 from .configs import config_digest, get_config, register_config
 from .execution import SessionPool, append_results, execute_points
 from .experiment import get_experiment_spec
@@ -108,11 +102,7 @@ from .results import (
 
 __all__ = [
     "DEFAULT_SWEEP_EXPERIMENTS",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "DEFAULT_TRANSPORT",
-    "CACHE_BACKENDS",
-    "DEFAULT_CACHE_BACKEND",
     "SweepPoint",
     "SweepShard",
     "ShardPlan",
@@ -140,21 +130,6 @@ DEFAULT_SWEEP_EXPERIMENTS = (
     "graph",
 )
 
-#: The historical executor backends, kept as the accepted values of the
-#: deprecated ``executor=`` knob.  Each name is also a registered shard
-#: transport (see :mod:`repro.dist.transport`); new callers should pass
-#: ``transport=`` instead, which additionally accepts distributed
-#: transports such as ``"broker"``.
-EXECUTORS = ("serial", "thread", "process")
-
-#: Backend used when none is requested (the value the deprecated
-#: ``executor=`` knob defaulted to; identical to
-#: :data:`repro.dist.transport.DEFAULT_TRANSPORT`).  ``"thread"`` is the
-#: conservative default (warm caches deserialise I/O-bound,
-#: user-registered presets stay visible without shipping); pass
-#: ``transport="process"`` for cold CPU-bound grids on multi-core
-#: machines.
-DEFAULT_EXECUTOR = "thread"
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -415,7 +390,7 @@ def run_point(
 
     Args:
         point: the grid point.
-        cache_dir: per-file result cache probed first and filled after
+        cache_dir: result store directory probed first and filled after
             (``None`` disables it).
 
     Returns:
@@ -526,9 +501,6 @@ class ShardPlanner:
             different speeds).
         max_workers: the worker count the sweep will run with (used only to
             derive the default shard count).
-        cache_backend: ``"files"`` (legacy per-file cache) or ``"packed"``
-            (append-only :class:`repro.store.PackedResultStore`); see
-            :data:`CACHE_BACKENDS`.
 
     Attributes:
         store: the :class:`~repro.store.ResultStore` of ``cache_dir``
@@ -540,13 +512,12 @@ class ShardPlanner:
         cache_dir: Optional[Union[str, Path]] = None,
         shards: Optional[int] = None,
         max_workers: Optional[int] = None,
-        cache_backend: str = DEFAULT_CACHE_BACKEND,
     ) -> None:
         if shards is not None and shards <= 0:
             raise ValueError("shards must be positive")
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        self.store: Optional[ResultStore] = open_store(cache_dir, cache_backend)
+        self.store: Optional[ResultStore] = open_store(cache_dir)
         self.shards = shards
         self.max_workers = max_workers
 
@@ -759,7 +730,7 @@ class SweepJournal:
          "engine": "...", "params": {...}, "cache_hit": false,
          "result": {... ExperimentResult.to_dict() ...}}
 
-    When the sweep runs on the packed cache backend, the result payload --
+    When the sweep has a result store, the result payload --
     by far the largest part of every line, and already durable in the
     store the moment the shard finished -- is replaced by a slim
     ``"kind": "point-ref"`` record carrying the record's store location::
@@ -994,38 +965,6 @@ class SweepJournal:
 # ---------------------------------------------------------------------------
 # The sweep service front door
 # ---------------------------------------------------------------------------
-def _resolve_transport_name(
-    transport: Optional[str], executor: Optional[str], stacklevel: int = 3
-) -> str:
-    """Fold the deprecated ``executor=`` alias into the transport name.
-
-    ``executor=`` keeps its historical contract exactly -- only the three
-    local backend names are accepted, unknown names raise the pinned
-    ``"unknown executor"`` :class:`ValueError` -- but now warns with a
-    :class:`DeprecationWarning` and maps onto the equally-named transport.
-    Passing both knobs with different values is a :class:`ValueError`
-    (silently preferring either would surprise someone mid-migration).
-    """
-    if executor is not None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        warnings.warn(
-            "executor= is deprecated; pass transport= instead (the "
-            "executor names map one-to-one onto the local transports)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        if transport is not None and transport != executor:
-            raise ValueError(
-                f"conflicting execution backends: transport={transport!r} "
-                f"vs deprecated executor={executor!r}; pass only transport="
-            )
-        return executor
-    return transport if transport is not None else DEFAULT_TRANSPORT
-
-
 def _create_transport(
     transport_name: str,
     sweep_dir: Optional[Union[str, Path]],
@@ -1057,11 +996,10 @@ def run_sweep(
     cache_dir: Optional[Union[str, Path]] = None,
     params_by_experiment: Optional[Mapping[str, Mapping[str, Any]]] = None,
     engine: str = DEFAULT_ENGINE,
-    executor: Optional[str] = None,
     shards: Optional[int] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
+    cache_backend: str = "packed",
     transport: Optional[str] = None,
     sweep_dir: Optional[Union[str, Path]] = None,
     transport_options: Optional[Mapping[str, Any]] = None,
@@ -1082,14 +1020,17 @@ def run_sweep(
         max_workers: worker threads/processes (default: one per shard,
             capped at the CPU count; ``1`` forces in-process execution for
             the ``thread`` backend).
-        cache_dir: directory for the JSON result cache (``None`` disables
-            caching).
+        cache_dir: directory of the packed result store
+            (:class:`repro.store.PackedResultStore`: one batched probe
+            plans the grid, one batched sequential read restores every
+            warm point, one locked batch append per shard persists cold
+            results, and the journal holds slim store-ref records;
+            ``None`` disables caching).  A per-file cache directory
+            converts in place via
+            :func:`repro.store.migrate_files_to_packed`.
         params_by_experiment: extra per-experiment parameters.
         engine: cycle-model engine evaluating every point (``"vectorized"``
             by default; part of each point's cache key).
-        executor: deprecated alias for ``transport`` (the historical knob;
-            accepts exactly the three local backend names and emits a
-            :class:`DeprecationWarning`).
         shards: target shard count (default: twice the worker count).
         journal: path of the append-only ``sweep.jsonl`` run journal
             (``None`` disables journaling).
@@ -1101,16 +1042,7 @@ def run_sweep(
             counters always report the work *this* invocation performed, so
             a point the killed run cached but did not journal legitimately
             counts as a hit on resume.)
-        cache_backend: ``"files"`` (the legacy one-JSON-file-per-point
-            cache) or ``"packed"`` (the append-only
-            :class:`repro.store.PackedResultStore`: one batched index
-            probe plans the grid, one batched sequential read restores
-            every warm point, one locked batch append per shard persists
-            cold results, and the journal switches to slim store-ref
-            records).  Both backends produce byte-identical results; an
-            existing per-file directory converts in place via
-            :func:`repro.store.migrate_files_to_packed`.  Ignored without
-            ``cache_dir``.
+        cache_backend: must be ``"packed"``, the only layout.
         transport: shard transport executing the sweep, by registry name
             (see :func:`repro.dist.transport.register_transport`):
             ``"thread"`` (default; warm-cache / I/O-bound re-runs),
@@ -1133,13 +1065,21 @@ def run_sweep(
         statistics in :attr:`~repro.api.results.SweepResult.stats`.
 
     Raises:
-        ValueError: on an unknown executor or transport, invalid transport
-            options, or ``resume`` without a journal.
+        ValueError: on an unknown transport, invalid transport options,
+            ``resume`` without a journal, or a ``cache_backend`` other than
+            ``"packed"``.
         SweepPointError: when a grid point fails (identifies the point).
         repro.dist.WorkerLostError: a distributed shard exhausted its
             retry budget (its workers kept dying).
     """
-    transport_name = _resolve_transport_name(transport, executor)
+    # Kept only because perfbench/sweeps.py still passes it.
+    if cache_backend != "packed":
+        raise ValueError(
+            f"unknown cache backend {cache_backend!r}: the packed store is "
+            "the only layout; convert a per-file cache directory with "
+            "repro.store.migrate_files_to_packed"
+        )
+    transport_name = transport if transport is not None else DEFAULT_TRANSPORT
     transport_obj = _create_transport(
         transport_name, sweep_dir, transport_options
     )
@@ -1147,7 +1087,6 @@ def run_sweep(
         cache_dir=cache_dir,
         shards=shards,
         max_workers=max_workers,
-        cache_backend=cache_backend,
     )
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
@@ -1191,11 +1130,10 @@ def _run_sweep_locked(
 ) -> SweepResult:
     """Body of :func:`run_sweep`, run while holding the journal lock.
 
-    The coordinator owns the result store for every backend and
-    transport: it restores every warm point through ONE batched
-    ``get_many``, hands only cold shards to the transport (workers run
-    store-less), and persists each finished shard with one
-    ``append_many``.
+    The coordinator owns the result store for every transport: it
+    restores every warm point through ONE batched ``get_many``, hands
+    only cold shards to the transport (workers run store-less), and
+    persists each finished shard with one ``append_many``.
     """
     store = planner.store
     restored: Dict[str, Tuple[ExperimentResult, bool]] = {}

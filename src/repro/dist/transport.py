@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 #: Transport used when none is requested: the conservative in-process
-#: thread pool (same default the deprecated ``executor=`` knob had).
+#: thread pool.
 DEFAULT_TRANSPORT = "thread"
 
 #: The outcome triples one executed shard produces, in grid order --

@@ -60,7 +60,7 @@ from ..api.results import ExperimentResult, SweepResult, _jsonify
 from ..api.sweep import SweepPoint, run_sweep
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import resolve_cycle_model_engine
-from ..store import DEFAULT_CACHE_BACKEND, open_store
+from ..store import open_store
 from .cache import HotResultCache
 from .metrics import MetricsRegistry
 
@@ -143,15 +143,11 @@ class ServeConfig:
         hot_cache_size: capacity of the in-memory TTL/LRU result cache
             (0 disables it).
         hot_cache_ttl_s: TTL of hot-cache entries (``None`` never expires).
-        cache_dir: optional on-disk result cache shared with the sweep
-            service (same content-hash keys); probed on hot-cache misses
-            and populated by every computed result.
-        cache_backend: layout of ``cache_dir`` -- ``"files"`` (one JSON per
-            point) or ``"packed"`` (the append-only
-            :class:`repro.store.PackedResultStore`; hot-cache misses read
+        cache_dir: optional on-disk result store shared with the sweep
+            service (same content-hash keys; the append-only
+            :class:`repro.store.PackedResultStore`): hot-cache misses read
             it in one batch per dispatch group and computed results are
-            appended in one batch).  Shared with ``repro sweep
-            --cache-backend``.
+            appended in one batch.
         allow_heavy: admit training-based experiments (``table2``; runs for
             minutes and would monopolise the dispatch executor).  Off by
             default for a live service.
@@ -162,7 +158,6 @@ class ServeConfig:
     hot_cache_size: int = 256
     hot_cache_ttl_s: Optional[float] = 300.0
     cache_dir: Optional[Union[str, Path]] = None
-    cache_backend: str = DEFAULT_CACHE_BACKEND
     allow_heavy: bool = False
 
     def __post_init__(self) -> None:
@@ -172,7 +167,6 @@ class ServeConfig:
             raise ValueError("default_timeout_s must be positive")
         if self.hot_cache_size < 0:
             raise ValueError("hot_cache_size must be >= 0")
-        open_store(None, self.cache_backend)  # validates the backend name
 
 
 @dataclass(frozen=True)
@@ -373,12 +367,10 @@ class ExperimentService:
             capacity=self.config.hot_cache_size,
             ttl_s=self.config.hot_cache_ttl_s,
         )
-        # One long-lived store instance: on the packed backend the
-        # in-memory index makes every hot-cache-miss probe an in-process
-        # set lookup (refreshed only when pack.index changes on disk).
-        self._store = open_store(
-            self.config.cache_dir, self.config.cache_backend
-        )
+        # One long-lived store instance: the in-memory index makes every
+        # hot-cache-miss probe an in-process set lookup (records appended
+        # by other processes are scanned in when pack.data grows).
+        self._store = open_store(self.config.cache_dir)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional["asyncio.Queue[Any]"] = None
         self._batcher: Optional["asyncio.Task[None]"] = None
@@ -548,9 +540,9 @@ class ExperimentService:
         assert self._loop is not None and self._sweep_executor is not None
         allowed = {
             "experiments", "models", "configs", "seeds", "max_workers",
-            "cache_dir", "params_by_experiment", "engine", "executor",
-            "shards", "journal", "resume", "cache_backend",
-            "transport", "sweep_dir", "transport_options",
+            "cache_dir", "params_by_experiment", "engine", "shards",
+            "journal", "resume", "transport", "sweep_dir",
+            "transport_options",
         }
         unknown = set(kwargs) - allowed
         if unknown:

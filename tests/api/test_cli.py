@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.api.cli import main
 from repro.api.results import ExperimentResult, SweepResult
 
@@ -209,24 +211,41 @@ class TestSweep:
         assert "1 result(s)" in out
         assert "executor=thread" in out  # service stats line
 
-    def test_sweep_executor_backends_agree(self, capsys, tmp_path):
+    def test_sweep_transports_agree(self, capsys, tmp_path):
         results = {}
-        for executor in ("serial", "thread", "process"):
-            out_path = tmp_path / f"{executor}.json"
+        for transport in ("serial", "thread", "process"):
+            out_path = tmp_path / f"{transport}.json"
             argv = [
                 "sweep", "--experiments", "fig7", "--models", "alexnet",
-                "--executor", executor, "--json", str(out_path), "--quiet",
+                "--transport", transport, "--json", str(out_path), "--quiet",
             ]
             assert main(argv) == 0
-            results[executor] = SweepResult.load(out_path)
+            results[transport] = SweepResult.load(out_path)
         assert results["serial"] == results["thread"] == results["process"]
+
+    def test_serve_cache_backend_option_is_gone(self, capsys):
+        from repro.api.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--cache-backend", "packed"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "removed", [["--executor", "serial"], ["--cache-backend", "files"]]
+    )
+    def test_sweep_removed_options_exit_2(self, capsys, removed):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--experiments", "table4", *removed])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_journal_and_resume(self, capsys, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         out_path = tmp_path / "sweep.json"
         base = [
             "sweep", "--experiments", "fig7", "table4", "--models", "alexnet",
-            "--executor", "serial", "--shards", "2",
+            "--transport", "serial", "--shards", "2",
             "--journal", str(journal), "--quiet",
         ]
         assert main(base + ["--json", str(out_path)]) == 0

@@ -11,6 +11,7 @@ import pytest
 from repro.api import Experiment, build_grid, run_sweep
 from repro.api.sweep import SweepPoint
 from repro.sim.cycle_model import SPARSITY_VARIANTS
+from repro.store import PackedResultStore
 
 
 class TestEngineCacheKey:
@@ -55,7 +56,7 @@ class TestMixedEngineSweeps:
         assert vector_warm.cache_hits == 1 and vector_warm.cache_misses == 0
         # ... and the engines agree bitwise on the results themselves.
         assert scalar_cold.results == vector_cold.results
-        assert len(list(cache_dir.glob("*.json"))) == 2
+        assert len(PackedResultStore(cache_dir)) == 2
 
 
 class TestExperimentEngine:

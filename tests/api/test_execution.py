@@ -46,13 +46,12 @@ class TestExecutePoints:
             result = execution.results[point.cache_key()]
             assert result.to_json() == _solo(point).to_json()
 
-    @pytest.mark.parametrize("backend", ["files", "packed"])
-    def test_second_call_with_store_is_all_hits(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+    def test_second_call_with_store_is_all_hits(self, tmp_path):
+        store = open_store(tmp_path)
         cold = execute_points(MIXED, SessionPool(), store)
         assert not cold.hits and cold.append_skipped == 0
         pool = SessionPool()
-        warm = execute_points(MIXED, pool, open_store(tmp_path, backend))
+        warm = execute_points(MIXED, pool, open_store(tmp_path))
         assert warm.hits == frozenset(cold.results)
         assert len(pool) == 0  # no session was ever built
         for key, result in cold.results.items():

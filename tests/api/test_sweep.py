@@ -5,6 +5,7 @@ import pytest
 import repro.api.execution as execution_module
 from repro.api import ExperimentResult, SweepResult, build_grid, run_sweep
 from repro.api.sweep import SweepPoint, run_point
+from repro.store import PackedResultStore
 
 
 class TestGrid:
@@ -75,7 +76,7 @@ class TestSweepExecution:
         cold = run_sweep(**kwargs)
         assert len(cold) == 2
         assert cold.cache_hits == 0 and cold.cache_misses == 2
-        assert len(list(cache_dir.glob("*.json"))) == 2
+        assert len(PackedResultStore(cache_dir)) == 2
 
         # Warm re-run: every point must come from the cache without
         # executing any simulation -- instrument by making Experiment
@@ -91,12 +92,16 @@ class TestSweepExecution:
     def test_corrupt_cache_entry_treated_as_miss(self, tmp_path):
         cache_dir = tmp_path / "cache"
         run_sweep(experiments=("table4",), cache_dir=cache_dir)
-        entry = next(cache_dir.glob("*.json"))
-        entry.write_text("garbage{{{", encoding="utf-8")
-        recovered = run_sweep(experiments=("table4",), cache_dir=cache_dir)
+        store = PackedResultStore(cache_dir)
+        damaged = bytearray(store.data_path.read_bytes())
+        damaged[-1] ^= 0xFF  # the only record's checksum now fails
+        store.data_path.write_bytes(bytes(damaged))
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            recovered = run_sweep(experiments=("table4",), cache_dir=cache_dir)
         assert recovered.cache_misses == 1 and recovered.cache_hits == 0
-        # The corrupt entry was overwritten with a valid result.
-        warm = run_sweep(experiments=("table4",), cache_dir=cache_dir)
+        # A valid copy of the damaged record was appended.
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            warm = run_sweep(experiments=("table4",), cache_dir=cache_dir)
         assert warm.cache_hits == 1 and warm.cache_misses == 0
 
     def test_cache_miss_on_seed_change(self, tmp_path):
@@ -109,6 +114,14 @@ class TestSweepExecution:
         )
         assert first.cache_misses == 1
         assert second.cache_misses == 1  # different key, no false hit
+
+    def test_run_point_fills_the_pack(self, tmp_path):
+        point = SweepPoint(experiment="table4")
+        cold, cold_hit = run_point(point, cache_dir=tmp_path)
+        warm, warm_hit = run_point(point, cache_dir=tmp_path)
+        assert (cold_hit, warm_hit) == (False, True)
+        assert warm == cold
+        assert [p.name for p in tmp_path.iterdir()] == ["pack.data"]
 
     def test_run_point_without_cache_dir(self):
         result, hit = run_point(SweepPoint(experiment="table1"))

@@ -1,4 +1,4 @@
-"""Tests for the sharded sweep service: planning, executors, journal.
+"""Tests for the sharded sweep service: planning, transports, journal.
 
 The sweep cache / grid basics are covered by ``test_sweep.py``; this module
 pins the service layer added on top -- deterministic shard planning keyed by
@@ -195,10 +195,10 @@ class TestShardPlanner:
 
 class TestExecutorEquality:
     def test_all_backends_produce_identical_results(self):
-        serial = run_sweep(executor="serial", **GRID_KWARGS)
-        thread = run_sweep(executor="thread", max_workers=2, **GRID_KWARGS)
+        serial = run_sweep(transport="serial", **GRID_KWARGS)
+        thread = run_sweep(transport="thread", max_workers=2, **GRID_KWARGS)
         process = run_sweep(
-            executor="process", max_workers=2, shards=3, **GRID_KWARGS
+            transport="process", max_workers=2, shards=3, **GRID_KWARGS
         )
         assert serial.results == thread.results == process.results
         assert (
@@ -234,41 +234,41 @@ class TestExecutorEquality:
         # One shard holding several single-model fig7 points merges them
         # into one batched run; the split results must be identical to
         # executing every point individually.
-        sweep = run_sweep(executor="serial", shards=1, **GRID_KWARGS)
+        sweep = run_sweep(transport="serial", shards=1, **GRID_KWARGS)
         reference = tuple(run_point(p)[0] for p in build_grid(**GRID_KWARGS))
         assert sweep.results == reference
 
     def test_process_backend_uses_and_fills_cache(self, tmp_path):
         cold = run_sweep(
-            executor="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
+            transport="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
         )
         assert cold.cache_hits == 0 and cold.cache_misses == len(cold.results)
         warm = run_sweep(
-            executor="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
+            transport="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
         )
         assert warm.cache_hits == len(warm.results) and warm.cache_misses == 0
         assert warm.results == cold.results
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
-    def test_files_backend_is_written_by_the_coordinator(
+    def test_store_is_written_by_the_coordinator(
         self, tmp_path, monkeypatch, transport
     ):
-        # Workers are store-less on every transport: the coordinator writes
-        # exactly one {key}.json per cold point, a re-run is all hits, and a
+        # Workers are store-less on every transport: the coordinator packs
+        # exactly one record per cold point, a re-run is all hits, and a
         # resume from a half-written journal restores the same bytes.
         import threading
 
         from repro.api.sweep import cache_keys_for_grid
-        from repro.store import FileResultStore
+        from repro.store import DATA_FILENAME, PackedResultStore
 
         writers = []
-        real_append = FileResultStore.append_many
+        real_append = PackedResultStore.append_many
 
         def recording(self, entries):
             writers.append((threading.get_ident(), len(entries)))
             return real_append(self, entries)
 
-        monkeypatch.setattr(FileResultStore, "append_many", recording)
+        monkeypatch.setattr(PackedResultStore, "append_many", recording)
         cache, journal = tmp_path / "cache", tmp_path / "sweep.jsonl"
         kwargs = dict(
             transport=transport, max_workers=2, shards=3, cache_dir=cache,
@@ -277,9 +277,9 @@ class TestExecutorEquality:
         cold = run_sweep(journal=journal, **kwargs)
         assert cold.cache_misses == len(cold.results)
         keys = cache_keys_for_grid(build_grid(**GRID_KWARGS))
-        assert sorted(p.name for p in cache.iterdir()) == sorted(
-            f"{key}.json" for key in keys
-        )
+        assert [p.name for p in cache.iterdir()] == [DATA_FILENAME]
+        assert len(PackedResultStore(cache)) == len(keys)
+        assert PackedResultStore(cache).probe(keys) == frozenset(keys)
         assert {ident for ident, _ in writers} == {threading.get_ident()}
         assert sum(count for _, count in writers) == len(cold.results)
         reference = [r.to_json() for r in cold.results]
@@ -300,17 +300,13 @@ class TestExecutorEquality:
         # this process, so process workers must receive it with the shard.
         session = Experiment(config=build_dbpim_config(num_macros=2))
         sweep = session.run_sweep(
-            experiments=("table4",), executor="process", max_workers=2
+            experiments=("table4",), transport="process", max_workers=2
         )
         assert len(sweep) == 1
         assert sweep.results[0].config == session.config_name
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_sweep(experiments=("table4",), executor="mpi")
-
     def test_stats_attached_but_not_serialised(self):
-        sweep = run_sweep(executor="serial", experiments=("table4",))
+        sweep = run_sweep(transport="serial", experiments=("table4",))
         assert sweep.stats is not None
         assert sweep.stats.executor == "serial"
         assert sweep.stats.cold_points == 1
@@ -334,7 +330,7 @@ class TestFailureAttribution:
 
         monkeypatch.setattr(execution_module, "Experiment", Exploding)
         with pytest.raises(SweepPointError) as info:
-            run_sweep(executor="thread", max_workers=2, **GRID_KWARGS)
+            run_sweep(transport="thread", max_workers=2, **GRID_KWARGS)
         message = str(info.value)
         assert "mobilenetv2" in message and "fig7" in message
         assert "injected fault" in message
@@ -353,7 +349,7 @@ class TestFailureAttribution:
 class TestJournal:
     def test_fresh_run_journals_every_point(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        sweep = run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+        sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
         lines = journal.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "header"
         assert len(lines) == len(sweep.results) + 1
@@ -366,7 +362,7 @@ class TestJournal:
         self, tmp_path, monkeypatch
     ):
         journal = tmp_path / "sweep.jsonl"
-        full = run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+        full = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
         # Simulate a kill after the first journaled shard: keep the header
         # plus two finished points.
         lines = journal.read_text().splitlines()
@@ -382,7 +378,7 @@ class TestJournal:
 
         monkeypatch.setattr(execution_module, "Experiment", Counting)
         resumed = run_sweep(
-            executor="serial", journal=journal, resume=True, **GRID_KWARGS
+            transport="serial", journal=journal, resume=True, **GRID_KWARGS
         )
         assert resumed.to_json() == full.to_json()  # byte-identical payload
         assert resumed.stats.journaled_points == 2
@@ -391,7 +387,7 @@ class TestJournal:
         # nothing at all.
         executed.clear()
         again = run_sweep(
-            executor="serial", journal=journal, resume=True, **GRID_KWARGS
+            transport="serial", journal=journal, resume=True, **GRID_KWARGS
         )
         assert again.to_json() == full.to_json() and executed == []
 
@@ -403,12 +399,12 @@ class TestJournal:
         cache = tmp_path / "cache"
         journal = tmp_path / "sweep.jsonl"
         full = run_sweep(
-            executor="serial", cache_dir=cache, journal=journal, **GRID_KWARGS
+            transport="serial", cache_dir=cache, journal=journal, **GRID_KWARGS
         )
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:2]) + "\n")  # header + 1 point
         resumed = run_sweep(
-            executor="serial",
+            transport="serial",
             cache_dir=cache,
             journal=journal,
             resume=True,
@@ -424,14 +420,14 @@ class TestJournal:
 
     def test_torn_tail_line_is_skipped_with_warning(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        run_sweep(executor="serial", journal=journal, experiments=("table4",))
+        run_sweep(transport="serial", journal=journal, experiments=("table4",))
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "point", "cache_key": "tr')  # torn write
         with pytest.warns(RuntimeWarning, match="torn"):
             entries = SweepJournal(journal).load()
         assert len(entries) == 1
         resumed = run_sweep(
-            executor="serial",
+            transport="serial",
             journal=journal,
             resume=True,
             experiments=("table4",),
@@ -440,8 +436,8 @@ class TestJournal:
 
     def test_fresh_run_truncates_stale_journal(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
-        run_sweep(executor="serial", journal=journal, experiments=("table4",))
+        run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
+        run_sweep(transport="serial", journal=journal, experiments=("table4",))
         assert len(SweepJournal(journal).load()) == 1  # truncated, not mixed
 
     def test_resume_requires_journal(self):
@@ -451,27 +447,36 @@ class TestJournal:
     def test_journal_records_cache_hits(self, tmp_path):
         cache = tmp_path / "cache"
         journal = tmp_path / "sweep.jsonl"
-        run_sweep(executor="serial", cache_dir=cache, experiments=("table4",))
+        run_sweep(transport="serial", cache_dir=cache, experiments=("table4",))
         run_sweep(
-            executor="serial",
+            transport="serial",
             cache_dir=cache,
             journal=journal,
             experiments=("table4",),
         )
-        ((_, hit),) = SweepJournal(journal).load().values()
+        from repro.store import PackedResultStore
+
+        store = PackedResultStore(cache)
+        ((_, hit),) = SweepJournal(journal).load(store=store).values()
         assert hit is True
 
 
 class TestCacheRobustness:
     def test_corrupt_entry_warns_and_recovers(self, tmp_path):
+        from repro.store import DATA_FILENAME
+
         run_sweep(experiments=("table4",), cache_dir=tmp_path)
-        entry = next(tmp_path.glob("*.json"))
-        entry.write_text("garbage{{{", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="unreadable sweep-cache"):
+        data = tmp_path / DATA_FILENAME
+        damaged = bytearray(data.read_bytes())
+        damaged[-1] ^= 0xFF  # the last payload byte; its checksum now fails
+        data.write_bytes(bytes(damaged))
+        with pytest.warns(RuntimeWarning, match="damaged pack record"):
             recovered = run_sweep(experiments=("table4",), cache_dir=tmp_path)
         assert recovered.cache_misses == 1
-        warm = run_sweep(experiments=("table4",), cache_dir=tmp_path)
+        with pytest.warns(RuntimeWarning, match="damaged pack record"):
+            warm = run_sweep(experiments=("table4",), cache_dir=tmp_path)
         assert warm.cache_hits == 1
+        assert warm.results == recovered.results
 
     def test_save_leaves_no_temp_files(self, tmp_path):
         result, _ = run_point(SweepPoint(experiment="table4"))
@@ -492,6 +497,13 @@ class TestSessionRunSweep:
         assert result.config == "dense-baseline" and result.seed == 3
         direct = session.run("fig7", models=["alexnet"])
         assert result == direct
+
+    @pytest.mark.parametrize(
+        "removed", [{"executor": "serial"}, {"cache_backend": "packed"}]
+    )
+    def test_session_sweep_has_no_backend_knobs(self, removed):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            Experiment().run_sweep(experiments=("table4",), **removed)
 
     def test_run_shard_overrides_divergent_local_preset(self):
         # A spawn-started worker resolves preset names against a fresh
@@ -561,7 +573,7 @@ class TestJournalLock:
         holder.acquire()
         try:
             with pytest.raises(SweepJournalLockedError):
-                run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+                run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
             # Fail-fast means no journal bytes were written at all.
             assert not journal.exists()
         finally:
@@ -569,12 +581,12 @@ class TestJournalLock:
 
     def test_run_sweep_releases_lock_even_on_failure(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        sweep = run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+        sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
         assert sweep.results
         assert not SweepJournal(journal).lock_path.exists()
         with pytest.raises(SweepPointError):
             run_sweep(
-                executor="serial",
+                transport="serial",
                 journal=tmp_path / "bad.jsonl",
                 experiments=("fig7",),
                 models=("alexnet",),

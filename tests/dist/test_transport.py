@@ -1,11 +1,9 @@
 """Tests for the :class:`ShardTransport` protocol, its registry, and the
-``executor=`` deprecation shim in :func:`repro.api.run_sweep`.
+``transport=`` knob of :func:`repro.api.run_sweep`.
 
-Byte-identity of the local transports against the historical executors is
-pinned here too: a sweep run through ``transport="serial"`` must serialise
-to exactly the same JSON as one run through the (deprecated)
-``executor="serial"`` knob, and ``stats.executor`` must keep carrying the
-backend name the old field always carried.
+``stats.executor`` must keep carrying the transport name the field always
+carried, and a custom registered transport must serialise to exactly the
+same JSON as the serial one.
 """
 
 import pytest
@@ -148,32 +146,9 @@ class TestRunSweepTransportKnob:
         result = run_sweep(transport="serial", **GRID_KWARGS)
         assert result.stats.executor == "serial"
 
-    def test_transport_serial_matches_deprecated_executor(self):
-        via_transport = run_sweep(transport="serial", **GRID_KWARGS)
-        with pytest.warns(DeprecationWarning, match="executor="):
-            via_executor = run_sweep(executor="serial", **GRID_KWARGS)
-        assert via_transport.to_json() == via_executor.to_json()
-
-    def test_executor_alias_still_validates_first(self):
-        # The historical unknown-executor message stays byte-compatible.
-        with pytest.raises(ValueError, match="unknown executor 'mpi'"):
-            run_sweep(executor="mpi", **GRID_KWARGS)
-
-    def test_conflicting_executor_and_transport(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(
-                ValueError, match="conflicting execution backends"
-            ):
-                run_sweep(
-                    executor="serial", transport="thread", **GRID_KWARGS
-                )
-
-    def test_matching_executor_and_transport_is_allowed(self):
-        with pytest.warns(DeprecationWarning):
-            result = run_sweep(
-                executor="serial", transport="serial", **GRID_KWARGS
-            )
-        assert result.stats.executor == "serial"
+    def test_executor_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="executor"):
+            run_sweep(executor="serial", **GRID_KWARGS)
 
     def test_unknown_transport_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown transport 'osmosis'"):

@@ -118,6 +118,16 @@ class TestEndpoints:
         assert status == 400
         assert "unknown sweep parameters" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "removed", [{"executor": "serial"}, {"cache_backend": "files"}]
+    )
+    def test_sweep_rejects_removed_knobs(self, server, removed):
+        status, body = post(
+            server, "/v1/sweep", {"experiments": ["table4"], **removed}
+        )
+        assert status == 400
+        assert "unknown sweep parameters" in body["error"]["message"]
+
     def test_metrics_endpoint(self, server):
         status, body = get(server, "/v1/metrics")
         assert status == 200

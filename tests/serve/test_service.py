@@ -401,32 +401,16 @@ class TestServiceCaching:
         assert second.cache_hit and second.batch_size == 0
         assert second.result.to_json() == first.result.to_json()
 
-    def test_disk_cache_layer(self, tmp_path):
-        config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
-        request = RunRequest("fig7", models=("alexnet",))
-        with ServiceRuntime(config) as runtime:
-            first = runtime.run(request)
-        assert list(tmp_path.iterdir())  # result persisted
-        # A fresh runtime (hot cache disabled) serves from disk.
-        with ServiceRuntime(config) as runtime:
-            second = runtime.run(request)
-            hits = runtime.metrics()["counters"].get("disk_cache_hits", 0)
-        assert hits == 1
-        assert second.result.to_json() == first.result.to_json()
-
     def test_packed_store_layer(self, tmp_path):
         """The hot-cache miss path falls through to the packed store."""
         from repro.store import DATA_FILENAME, PackedResultStore
 
-        config = ServeConfig(
-            hot_cache_size=0,
-            cache_dir=tmp_path,
-            cache_backend="packed",
-        )
+        config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
         request = RunRequest("fig7", models=("alexnet",))
         with ServiceRuntime(config) as runtime:
             first = runtime.run(request)
-        assert (tmp_path / DATA_FILENAME).exists()  # result packed
+        # The result is packed; the store directory holds nothing else.
+        assert [p.name for p in tmp_path.iterdir()] == [DATA_FILENAME]
         assert len(PackedResultStore(tmp_path)) == 1
         # A fresh runtime (hot cache disabled) serves from the store.
         with ServiceRuntime(config) as runtime:
@@ -443,14 +427,9 @@ class TestServiceCaching:
             experiments=("fig7",),
             models=("alexnet",),
             cache_dir=tmp_path,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
-        config = ServeConfig(
-            hot_cache_size=0,
-            cache_dir=tmp_path,
-            cache_backend="packed",
-        )
+        config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
         with ServiceRuntime(config) as runtime:
             outcome = runtime.run(RunRequest("fig7", models=("alexnet",)))
             hits = runtime.metrics()["counters"].get("disk_cache_hits", 0)
@@ -470,11 +449,7 @@ class TestServiceCaching:
         )
         try:
             (tmp_path / LOCK_FILENAME).write_text(f"{holder.pid}\n")
-            config = ServeConfig(
-                hot_cache_size=0,
-                cache_dir=tmp_path,
-                cache_backend="packed",
-            )
+            config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
             request = RunRequest("fig7", models=("alexnet",))
             with ServiceRuntime(config) as runtime:
                 with pytest.warns(RuntimeWarning, match="packed-store append"):
@@ -487,9 +462,9 @@ class TestServiceCaching:
         assert outcome.result.to_json() == direct_result(request).to_json()
         assert len(PackedResultStore(tmp_path)) == 0  # nothing written
 
-    def test_unknown_cache_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            ServeConfig(cache_backend="sqlite")
+    def test_cache_backend_knob_is_gone(self):
+        with pytest.raises(TypeError, match="cache_backend"):
+            ServeConfig(cache_backend="packed")
 
     def test_metrics_snapshot_shape(self):
         with ServiceRuntime(ServeConfig()) as runtime:

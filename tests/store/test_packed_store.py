@@ -1,17 +1,16 @@
 """Tests for the packed sweep result store (``repro.store``).
 
-Pins the PR-9 contracts: corruption tolerance (a torn data tail or a
-damaged/missing/stale index never loses intact records -- the index is
-rebuilt from the data file), single-writer locking (live-holder rejection,
-stale-lock reclaim), per-file-to-packed migration, byte-identical
-``SweepResult`` s across the ``files`` and ``packed`` backends, and slim
+Pins the self-indexing pack's contracts: the index is rebuilt by walking
+frames (a torn final frame is an append in progress, silently unindexed
+until the next writer truncates it; a damaged record mid-pack is a warned
+miss and the scan continues past it), appends write only their new frames,
+single-writer locking (live-holder rejection, stale-lock reclaim),
+per-file-to-packed migration, byte-identical warm re-sweeps, and slim
 journal resume restoring results byte-for-byte through the store.
 """
 
 import json
 import os
-import pickle
-import struct
 import warnings
 
 import pytest
@@ -20,12 +19,12 @@ from repro.api import Experiment, build_grid, run_sweep
 from repro.api.sweep import SweepJournal, cache_keys_for_grid
 from repro.store import (
     DATA_FILENAME,
-    INDEX_FILENAME,
     PackedResultStore,
     PackedStoreError,
     PackedStoreLockedError,
     migrate_files_to_packed,
 )
+from repro.store.packed import _MAGIC
 
 GRID_KWARGS = dict(experiments=("fig7", "table4"), models=("alexnet", "mobilenetv2"))
 
@@ -81,6 +80,17 @@ class TestRoundTrip:
         offset, length = locations[keys[0]]
         assert offset > 0 and length > 0
 
+    def test_replaced_pack_is_rescanned_from_the_start(
+        self, tmp_path, results_by_key
+    ):
+        keys = list(results_by_key)
+        reader = _populate(tmp_path, results_by_key)
+        assert reader.probe(keys) == frozenset(keys)
+        reader.data_path.unlink()  # the cache was cleared ...
+        _populate(tmp_path, {keys[0]: results_by_key[keys[0]]})  # ... refilled
+        assert reader.probe(keys) == frozenset(keys[:1])
+        assert reader.get_many(keys) == {keys[0]: results_by_key[keys[0]]}
+
     def test_maybe_refresh_sees_other_writer(self, tmp_path, results_by_key):
         keys = list(results_by_key)
         first, rest = keys[:1], keys[1:]
@@ -93,88 +103,184 @@ class TestRoundTrip:
         reader.maybe_refresh()
         assert reader.probe(keys) == frozenset(keys)
 
+    def test_append_writes_only_new_frames_and_fsyncs_once(
+        self, tmp_path, results_by_key, monkeypatch
+    ):
+        keys = list(results_by_key)
+        store = _populate(tmp_path, {keys[0]: results_by_key[keys[0]]})
+        before = store.data_path.read_bytes()
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        locations = store.append_many(list(results_by_key.items()))
+        after = store.data_path.read_bytes()
+        assert len(synced) == 1
+        assert after[: len(before)] == before  # old bytes untouched
+        assert len(after) - len(before) == sum(
+            locations[k][1] for k in keys[1:]
+        )
+        assert [p.name for p in tmp_path.iterdir()] == [DATA_FILENAME]
+
+    def test_duplicate_key_in_one_batch_is_written_once(
+        self, tmp_path, results_by_key
+    ):
+        key, result = next(iter(results_by_key.items()))
+        store = PackedResultStore(tmp_path)
+        locations = store.append_many([(key, result), (key, result)])
+        assert len(store) == 1
+        size = store.data_path.stat().st_size
+        assert size == len(_MAGIC) + locations[key][1]
+
+    def test_index_scan_unpickles_nothing(
+        self, tmp_path, results_by_key, monkeypatch
+    ):
+        import repro.store.packed as packed_module
+
+        _populate(tmp_path, results_by_key)
+
+        def no_unpickling(*args, **kwargs):
+            raise AssertionError("the index scan unpickled a payload")
+
+        monkeypatch.setattr(packed_module.pickle, "loads", no_unpickling)
+        reader = PackedResultStore(tmp_path)
+        assert reader.probe(results_by_key) == frozenset(results_by_key)
+        assert len(reader) == len(results_by_key)
+
+
+def _tamper(store, mutate):
+    """Rewrite ``pack.data`` through ``mutate(bytearray)``."""
+    data = bytearray(store.data_path.read_bytes())
+    mutate(data)
+    store.data_path.write_bytes(bytes(data))
+
 
 class TestCorruptionRecovery:
-    def test_truncated_tail_keeps_intact_records(
+    def test_torn_final_frame_is_silent_until_the_next_append(
         self, tmp_path, results_by_key
     ):
         store = _populate(tmp_path, results_by_key)
         keys = list(results_by_key)
         locations = store.locate(keys)
         last_key = max(keys, key=lambda k: locations[k][0])
-        data = store.data_path.read_bytes()
-        store.data_path.write_bytes(data[:-7])  # tear the final record
-        fresh = PackedResultStore(tmp_path)
-        with pytest.warns(RuntimeWarning, match="rebuilding|damaged"):
-            present = fresh.probe(keys)
-        assert present == frozenset(k for k in keys if k != last_key)
-        fetched = fresh.get_many(keys)
-        assert fetched == {
-            k: results_by_key[k] for k in keys if k != last_key
-        }
-
-    def test_corrupted_index_rebuilds_from_data(
-        self, tmp_path, results_by_key
-    ):
-        store = _populate(tmp_path, results_by_key)
-        store.index_path.write_text("{ not json", encoding="utf-8")
-        fresh = PackedResultStore(tmp_path)
-        with pytest.warns(RuntimeWarning, match="unreadable pack index"):
-            assert fresh.probe(results_by_key) == frozenset(results_by_key)
-        assert fresh.get_many(results_by_key) == results_by_key
-
-    def test_missing_index_rebuilds_silently(self, tmp_path, results_by_key):
-        store = _populate(tmp_path, results_by_key)
-        store.index_path.unlink()
+        _tamper(store, lambda data: data.__delitem__(slice(-7, None)))
+        intact = {k: results_by_key[k] for k in keys if k != last_key}
+        reader = PackedResultStore(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an append in progress, in spirit
+            assert reader.probe(keys) == frozenset(intact)
+            assert reader.get_many(keys) == intact
+        writer = PackedResultStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="incomplete record"):
+            writer.append_many([(last_key, results_by_key[last_key])])
         fresh = PackedResultStore(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fresh.probe(results_by_key) == frozenset(results_by_key)
-        assert fresh.rebuild_index() == len(results_by_key)
-        assert fresh.index_path.exists()
+            assert fresh.get_many(keys) == results_by_key
+        assert fresh.data_path.stat().st_size == sum(
+            length for _, length in fresh.locate(keys).values()
+        ) + len(_MAGIC)
 
-    def test_stale_index_after_unindexed_append_rescans(
+    def test_flipped_byte_mid_pack_is_a_warned_miss_and_the_scan_goes_on(
+        self, tmp_path, results_by_key
+    ):
+        store = _populate(tmp_path, results_by_key)
+        keys = list(results_by_key)
+        locations = store.locate(keys)
+        ordered = sorted(keys, key=lambda k: locations[k][0])
+        victim = ordered[1]  # a middle record: others before and after it
+        offset, length = locations[victim]
+
+        def flip(data):
+            data[offset + length - 1] ^= 0xFF  # a payload byte
+
+        _tamper(store, flip)
+        reader = PackedResultStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            present = reader.probe(keys)
+        assert present == frozenset(k for k in keys if k != victim)
+        assert ordered[-1] in present  # records after the damage survive
+        assert reader.get_many(keys) == {
+            k: results_by_key[k] for k in keys if k != victim
+        }
+
+    def test_half_written_frame_is_invisible_until_completed(
         self, tmp_path, results_by_key
     ):
         keys = list(results_by_key)
-        first, last = keys[:-1], keys[-1]
+        first, late = keys[:-1], keys[-1]
         store = _populate(tmp_path, {k: results_by_key[k] for k in first})
-        # Simulate a writer that died after appending but before replacing
-        # the index: append a raw record without touching pack.index.
-        payload = pickle.dumps(
-            (last, results_by_key[last]), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        import zlib
-
+        scratch = _populate(tmp_path / "scratch", {late: results_by_key[late]})
+        offset, length = scratch.locate([late])[late]
+        frame = scratch.data_path.read_bytes()[offset : offset + length]
+        reader = PackedResultStore(tmp_path)
+        assert reader.probe(keys) == frozenset(first)
         with open(store.data_path, "ab") as handle:
-            handle.write(struct.pack("<II", zlib.crc32(payload), len(payload)))
-            handle.write(payload)
-        fresh = PackedResultStore(tmp_path)
-        with pytest.warns(RuntimeWarning, match="rebuilding"):
-            assert fresh.probe(keys) == frozenset(keys)
-        assert fresh.get_many([last]) == {last: results_by_key[last]}
+            handle.write(frame[: length // 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reader.probe(keys) == frozenset(first)
+        with open(store.data_path, "ab") as handle:
+            handle.write(frame[length // 2 :])
+        reader.maybe_refresh()
+        assert reader.probe(keys) == frozenset(keys)
+        assert reader.get_many([late]) == {late: results_by_key[late]}
+
+    def test_partial_magic_is_an_append_in_progress(
+        self, tmp_path, results_by_key
+    ):
+        (tmp_path / DATA_FILENAME).write_bytes(_MAGIC[:4])
+        store = PackedResultStore(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.probe(results_by_key) == frozenset()
+        with pytest.warns(RuntimeWarning, match="incomplete record"):
+            store.append_many(list(results_by_key.items()))
+        assert PackedResultStore(tmp_path).get_many(results_by_key) == (
+            results_by_key
+        )
 
     def test_bad_magic_raises(self, tmp_path):
         (tmp_path / DATA_FILENAME).write_bytes(b"not a pack at all")
         with pytest.raises(PackedStoreError, match="bad magic"):
             PackedResultStore(tmp_path).probe(["key"])
 
+    def test_previous_pack_generation_raises(self, tmp_path, results_by_key):
+        old = b"RPRPACK1\n" + bytes(64)
+        (tmp_path / DATA_FILENAME).write_bytes(old)
+        store = PackedResultStore(tmp_path)
+        with pytest.raises(PackedStoreError, match="delete it") as excinfo:
+            store.probe(["key"])
+        assert str(store.data_path) in str(excinfo.value)
+        with pytest.raises(PackedStoreError, match="bad magic"):
+            store.append_many(list(results_by_key.items()))
+        assert (tmp_path / DATA_FILENAME).read_bytes() == old  # untouched
+        assert not store.lock_path.exists()
+
     def test_damaged_record_read_is_a_miss(self, tmp_path, results_by_key):
         store = _populate(tmp_path, results_by_key)
         keys = list(results_by_key)
-        locations = store.locate(keys)
         victim = keys[0]
-        offset, _ = locations[victim]
-        data = bytearray(store.data_path.read_bytes())
-        data[offset + 12] ^= 0xFF  # flip a payload byte; CRC now mismatches
-        store.data_path.write_bytes(bytes(data))
-        reader = PackedResultStore(tmp_path)  # index still lists the victim
+        offset, length = store.locate([victim])[victim]
+        reader = PackedResultStore(tmp_path)
+        assert reader.probe(keys) == frozenset(keys)  # indexed before damage
+
+        def flip(data):
+            data[offset + length - 1] ^= 0xFF  # CRC now mismatches
+
+        _tamper(store, flip)
         with pytest.warns(RuntimeWarning, match="checksum mismatch"):
             fetched = reader.get_many(keys)
-        assert victim not in fetched
-        assert fetched == {
-            k: results_by_key[k] for k in keys if k != victim
-        }
+        assert fetched == {k: results_by_key[k] for k in keys if k != victim}
+
+    def test_record_for_another_key_is_a_miss(self, tmp_path, results_by_key):
+        store = _populate(tmp_path, results_by_key)
+        victim, other = list(results_by_key)[:2]
+        # A location pointing at some other intact record.
+        store._entries[victim] = store._entries[other]
+        with pytest.warns(RuntimeWarning, match="key mismatch"):
+            assert store.get_many([victim]) == {}
 
 
 class TestWriterLock:
@@ -208,8 +314,8 @@ class TestMigration:
         assert migrate_files_to_packed(tmp_path) == 0  # idempotent
         store = PackedResultStore(tmp_path)
         assert store.get_many(results_by_key) == results_by_key
-        # source files stay: the per-file backend keeps working.
-        assert len(list(tmp_path.glob("*.json"))) >= len(results_by_key)
+        # The source files are left in place.
+        assert len(list(tmp_path.glob("*.json"))) == len(results_by_key)
 
     def test_migration_skips_unreadable_entries(
         self, tmp_path, results_by_key
@@ -221,50 +327,43 @@ class TestMigration:
             assert migrate_files_to_packed(tmp_path) == len(results_by_key)
 
 
-class TestBackendEquality:
-    def test_files_and_packed_results_are_byte_identical(self, tmp_path):
-        files_dir = tmp_path / "files"
-        packed_dir = tmp_path / "packed"
-        reference = run_sweep(
-            **GRID_KWARGS, cache_dir=files_dir, executor="serial"
+class TestSweeps:
+    def test_cold_then_warm_256_seed_sweep_is_byte_identical(self, tmp_path):
+        kwargs = dict(
+            experiments=("table4",),
+            seeds=tuple(range(256)),
+            cache_dir=tmp_path / "cache",
+            transport="serial",
         )
-        cold = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=packed_dir,
-            executor="serial",
-            cache_backend="packed",
-        )
-        warm_files = run_sweep(
-            **GRID_KWARGS, cache_dir=files_dir, executor="serial"
-        )
-        warm_packed = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=packed_dir,
-            executor="serial",
-            cache_backend="packed",
-        )
-        assert cold.to_json() == reference.to_json()
-        assert warm_packed.to_json() == warm_files.to_json()
-        assert warm_packed.cache_hits == len(warm_packed.results)
-        assert warm_packed.cache_misses == 0
+        cold = run_sweep(**kwargs)
+        warm = run_sweep(**kwargs)
+        assert cold.cache_misses == 256
+        assert warm.cache_hits == 256 and warm.cache_misses == 0
+        assert [r.to_json() for r in warm.results] == [
+            r.to_json() for r in cold.results
+        ]
 
-    def test_migrated_cache_serves_packed_hits(self, tmp_path):
+    def test_sweep_leaves_only_pack_data(self, tmp_path):
         cache = tmp_path / "cache"
-        reference = run_sweep(
-            **GRID_KWARGS, cache_dir=cache, executor="serial"
-        )
-        migrate_files_to_packed(cache)
-        warm = run_sweep(
+        run_sweep(
             **GRID_KWARGS,
             cache_dir=cache,
-            executor="serial",
-            cache_backend="packed",
+            journal=tmp_path / "sweep.jsonl",
+            transport="serial",
         )
-        # Same results bytes; the hit counters legitimately differ (the
-        # cold reference computed, the migrated run was fully warm).
-        assert warm.results == reference.results
-        assert [r.to_dict() for r in warm.results] == [
-            r.to_dict() for r in reference.results
+        assert [p.name for p in cache.iterdir()] == [DATA_FILENAME]
+
+    def test_migrated_cache_serves_hits(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        reference = run_sweep(**GRID_KWARGS, transport="serial")
+        keys = cache_keys_for_grid(build_grid(**GRID_KWARGS))
+        for key, result in zip(keys, reference.results):
+            result.save(cache / f"{key}.json")
+        assert migrate_files_to_packed(cache) == len(keys)
+        warm = run_sweep(**GRID_KWARGS, cache_dir=cache, transport="serial")
+        assert [r.to_json() for r in warm.results] == [
+            r.to_json() for r in reference.results
         ]
         assert warm.cache_hits == len(warm.results)
 
@@ -272,30 +371,24 @@ class TestBackendEquality:
         from repro.api import ShardPlanner
 
         cache = tmp_path / "cache"
-        run_sweep(
-            experiments=("table4",),
-            cache_dir=cache,
-            executor="serial",
-            cache_backend="packed",
-        )
+        run_sweep(experiments=("table4",), cache_dir=cache, transport="serial")
         grid = build_grid(**GRID_KWARGS) + build_grid(experiments=("table4",))
         stored = PackedResultStore(cache).probe(cache_keys_for_grid(grid))
         expected_warm = sum(
             1 for key in cache_keys_for_grid(grid) if key in stored
         )
-        planner = ShardPlanner(cache_dir=cache, cache_backend="packed")
-        plan = planner.plan(grid)
+        plan = ShardPlanner(cache_dir=cache).plan(grid)
         assert plan.warm_points == expected_warm  # the stored table4 points
         assert expected_warm > 0
         assert plan.cold_points == len(grid) - expected_warm
 
-    def test_unknown_backend_rejected(self, tmp_path):
+    def test_other_cache_backends_rejected(self, tmp_path):
         from repro.api import ShardPlanner
 
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            run_sweep(**GRID_KWARGS, cache_backend="sqlite")
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            ShardPlanner(cache_dir=tmp_path, cache_backend="sqlite")
+        with pytest.raises(ValueError, match="migrate_files_to_packed"):
+            run_sweep(**GRID_KWARGS, cache_backend="files")
+        with pytest.raises(TypeError):
+            ShardPlanner(cache_dir=tmp_path, cache_backend="packed")
 
 
 class TestSlimJournal:
@@ -305,8 +398,7 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=tmp_path / "cache",
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         kinds = [
             json.loads(line)["kind"]
@@ -326,8 +418,7 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=cache,
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         # Simulate an interruption: drop the tail of the journal, keeping
         # the header and the first journaled shard lines.
@@ -337,13 +428,12 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=cache,
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
             resume=True,
         )
         # Identical results bytes; the hit counters report this
         # invocation's work (un-journaled points restore from the store as
-        # hits -- the same documented semantics as the files backend).
+        # hits).
         assert [r.to_dict() for r in resumed.results] == [
             r.to_dict() for r in reference.results
         ]
@@ -359,19 +449,16 @@ class TestSlimJournal:
             experiments=("table4",),
             cache_dir=cache,
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         # Destroy the store: every journal ref now dangles.
-        for name in (DATA_FILENAME, INDEX_FILENAME):
-            (cache / name).unlink()
+        (cache / DATA_FILENAME).unlink()
         with pytest.warns(RuntimeWarning, match="cannot be read"):
             resumed = run_sweep(
                 experiments=("table4",),
                 cache_dir=cache,
                 journal=journal,
-                executor="serial",
-                cache_backend="packed",
+                transport="serial",
                 resume=True,
             )
         assert resumed.to_json() == reference.to_json()
@@ -384,8 +471,7 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=cache,
             journal=journal_path,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         # Rewrite one ref line as a legacy full record; load must accept
         # the mix (lock-contended shards journal in full).
@@ -412,8 +498,7 @@ class TestLoadWithoutStore:
             experiments=("table4",),
             cache_dir=cache,
             journal=journal_path,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         journal = SweepJournal(journal_path)
         with pytest.warns(RuntimeWarning, match="no store given"):

@@ -1,20 +1,15 @@
-"""The :class:`repro.store.ResultStore` contract, held for both backends.
+"""The :class:`repro.store.ResultStore` contract.
 
 Whatever :func:`repro.store.open_store` returns must round-trip results
 (probe -> append_many -> probe/get_many), answer ``locate`` for slim
-journal refs (the per-file layout has no locations), and read a damaged
-entry as a miss with a :class:`RuntimeWarning` -- never an exception.
+journal refs, and read a damaged entry as a miss with a
+:class:`RuntimeWarning` -- never an exception.
 """
 
 import pytest
 
 from repro.api import Experiment
-from repro.store import (
-    CACHE_BACKENDS,
-    FileResultStore,
-    PackedResultStore,
-    open_store,
-)
+from repro.store import PackedResultStore, open_store
 
 
 @pytest.fixture(scope="module")
@@ -27,20 +22,16 @@ def entries():
 
 
 def _corrupt(store, key):
-    """Damage one stored entry in the backend's own layout."""
-    if isinstance(store, PackedResultStore):
-        offset, _ = store.locate([key])[key]
-        data = bytearray(store.data_path.read_bytes())
-        data[offset + 12] ^= 0xFF  # flip a payload byte; the CRC mismatches
-        store.data_path.write_bytes(bytes(data))
-    else:
-        (store.directory / f"{key}.json").write_text("{ torn", encoding="utf-8")
+    """Flip one payload byte of ``key``'s record; its checksum mismatches."""
+    offset, length = store.locate([key])[key]
+    data = bytearray(store.data_path.read_bytes())
+    data[offset + length - 1] ^= 0xFF
+    store.data_path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("backend", CACHE_BACKENDS)
 class TestResultStoreContract:
-    def test_round_trip(self, tmp_path, backend, entries):
-        store = open_store(tmp_path / "cache", backend)
+    def test_round_trip(self, tmp_path, entries):
+        store = open_store(tmp_path / "cache")
         keys = list(entries)
         assert store.probe(keys) == frozenset()
         assert store.get_many(keys) == {}
@@ -51,37 +42,36 @@ class TestResultStoreContract:
             k: r.to_json() for k, r in entries.items()
         }
         # A second instance reads what the first one wrote.
-        reopened = open_store(tmp_path / "cache", backend)
+        reopened = open_store(tmp_path / "cache")
         assert reopened.get_many(keys) == fetched
-        locations = store.locate(keys)
-        if backend == "packed":
-            assert set(locations) == set(keys)
-        else:
-            assert locations == {}
+        assert set(store.locate(keys)) == set(keys)
 
-    def test_corrupt_entry_is_a_warned_miss(self, tmp_path, backend, entries):
-        store = open_store(tmp_path, backend)
+    def test_corrupt_entry_is_a_warned_miss(self, tmp_path, entries):
+        store = open_store(tmp_path)
         store.append_many(list(entries.items()))
         victim, survivor = list(entries)
         _corrupt(store, victim)
-        reader = open_store(tmp_path, backend)
+        reader = open_store(tmp_path)
         with pytest.warns(RuntimeWarning):
             fetched = reader.get_many([victim, survivor])
         assert list(fetched) == [survivor]
 
 
 class TestOpenStore:
-    def test_backends_and_validation(self, tmp_path):
-        assert isinstance(open_store(tmp_path, "files"), FileResultStore)
-        assert isinstance(open_store(tmp_path, "packed"), PackedResultStore)
-        assert open_store(None, "packed") is None
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            open_store(None, "sqlite")
+    def test_opens_the_pack_of_a_directory(self, tmp_path):
+        assert isinstance(open_store(tmp_path), PackedResultStore)
+        assert open_store(None) is None
 
-    def test_files_rewrite_replaces_a_damaged_entry(self, tmp_path, entries):
-        store = FileResultStore(tmp_path / "fresh")  # directory made lazily
+    def test_takes_no_backend_argument(self, tmp_path):
+        with pytest.raises(TypeError):
+            open_store(tmp_path, "files")
+
+    def test_rewrite_replaces_a_damaged_entry(self, tmp_path, entries):
+        store = open_store(tmp_path / "fresh")  # directory made lazily
         key, result = next(iter(entries.items()))
         store.append_many([(key, result)])
         _corrupt(store, key)
-        store.append_many([(key, result)])
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            assert store.get_many([key]) == {}
+        store.append_many([(key, result)])  # the recomputed point
         assert store.get_many([key])[key].to_json() == result.to_json()
