@@ -3,7 +3,7 @@
 Measures the two things the serving layer exists for:
 
 * **warm-session latency** -- one ``fig7`` request against a warm
-  :class:`~repro.serve.service.ServiceRuntime` (hot cache disabled, so the
+  :class:`~repro.serve.service.ExperimentService` (hot cache disabled, so the
   simulator really runs) vs the wall time of a cold ``repro run`` child
   process, which pays interpreter startup, registry construction and
   workload profiling on every invocation.  The acceptance bar for this
@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro import __version__
-from repro.serve import RunRequest, ServeConfig, ServiceRuntime
+from repro.serve import ExperimentService, RunRequest, ServeConfig
 from repro.workloads import list_workloads
 
 #: Concurrency levels exercised by default.
@@ -74,18 +74,20 @@ def _time_cold_process(model: str, repeats: int) -> float:
     return best
 
 
-def _time_warm_single(runtime: ServiceRuntime, model: str, repeats: int) -> float:
+def _time_warm_single(
+    service: ExperimentService, model: str, repeats: int
+) -> float:
     """Best-of-``repeats`` warm single-request latency (hot cache disabled)."""
     request = RunRequest("fig7", models=(model,))
     best = float("inf")
     for _ in range(repeats):
-        outcome = runtime.run(request)
+        outcome = service.submit(request)
         best = min(best, outcome.latency_s)
     return best
 
 
 def _throughput(
-    runtime: ServiceRuntime, concurrency: int, total_requests: int
+    service: ExperimentService, concurrency: int, total_requests: int
 ) -> Dict[str, float]:
     """Requests/second and coalesce ratio at one concurrency level.
 
@@ -100,7 +102,7 @@ def _throughput(
         RunRequest("fig7", models=(models[index % len(models)],))
         for index in range(total_requests)
     ]
-    before = runtime.metrics()["counters"]
+    before = service.snapshot()["counters"]
     errors: List[Exception] = []
     cursor = {"next": 0}
     lock = threading.Lock()
@@ -113,7 +115,7 @@ def _throughput(
                     return
                 cursor["next"] = index + 1
             try:
-                runtime.run(requests[index])
+                service.submit(requests[index])
             except Exception as error:  # pragma: no cover - report and fail
                 errors.append(error)
                 return
@@ -130,7 +132,7 @@ def _throughput(
     elapsed = time.perf_counter() - start
     if errors:
         raise AssertionError(f"serve request failed under load: {errors[0]}")
-    after = runtime.metrics()["counters"]
+    after = service.snapshot()["counters"]
     batches = after.get("batches_total", 0) - before.get("batches_total", 0)
     batched = after.get("batched_requests_total", 0) - before.get(
         "batched_requests_total", 0
@@ -152,11 +154,11 @@ def run_benchmark(
     """Benchmark the daemon and return the report payload."""
     cold_s = _time_cold_process(model, repeats)
     config = ServeConfig(hot_cache_size=0)
-    with ServiceRuntime(config) as runtime:
-        runtime.run(RunRequest("fig7", models=(model,)))  # warm the session
-        warm_s = _time_warm_single(runtime, model, repeats)
+    with ExperimentService(config) as service:
+        service.submit(RunRequest("fig7", models=(model,)))  # warm the session
+        warm_s = _time_warm_single(service, model, repeats)
         throughput = {
-            str(level): _throughput(runtime, level, total_requests)
+            str(level): _throughput(service, level, total_requests)
             for level in concurrency_levels
         }
     return {

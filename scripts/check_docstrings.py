@@ -51,7 +51,11 @@ REQUIRED_SYMBOLS = (
     "repro.api.sweep.SweepJournal.acquire",
     "repro.api.sweep.SweepJournal.release",
     "repro.serve.service.ExperimentService",
-    "repro.serve.service.ServiceRuntime",
+    "repro.serve.service.ExperimentService.start",
+    "repro.serve.service.ExperimentService.close",
+    "repro.serve.service.ExperimentService.submit",
+    "repro.serve.service.ExperimentService.submit_sweep",
+    "repro.serve.service.ExperimentService.snapshot",
     "repro.serve.service.ServeConfig",
     "repro.serve.service.RunRequest",
     "repro.serve.service.RunOutcome",

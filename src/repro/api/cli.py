@@ -553,7 +553,7 @@ def _command_worker(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # Imported lazily: the daemon pulls in asyncio/http plumbing that the
+    # Imported lazily: the daemon pulls in http/threading plumbing that the
     # one-shot commands never need.
     import signal
     import threading

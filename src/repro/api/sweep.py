@@ -79,7 +79,7 @@ from typing import (
 )
 
 from ..arch.config import DBPIMConfig
-from ..dist.locks import PidFileLock, pid_alive
+from ..dist.locks import PidFileLock
 from ..dist.transport import (
     DEFAULT_TRANSPORT,
     ShardTransport,
@@ -709,15 +709,6 @@ class SweepJournalLockedError(RuntimeError):
     """
 
 
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe of another process on this host.
-
-    Thin wrapper over the shared :func:`repro.dist.locks.pid_alive` (kept
-    under the historical private name).
-    """
-    return pid_alive(pid)
-
-
 class SweepJournal:
     """Append-only JSONL journal making sweeps resumable.
 
@@ -796,10 +787,6 @@ class SweepJournal:
             SweepJournalLockedError: when a live process holds the lock.
         """
         self._lock.acquire(stacklevel=3)
-
-    def _lock_holder(self) -> Optional[int]:
-        """PID recorded in the lock file (``None`` when unreadable)."""
-        return self._lock.holder()
 
     def release(self) -> None:
         """Drop the exclusive lock taken by :meth:`acquire` (idempotent)."""

@@ -4,15 +4,13 @@ Every ``repro run`` invocation pays process startup, registry construction
 and workload profiling before its first simulated cycle.  This package
 keeps all of that warm in one long-lived daemon:
 
-* :class:`~repro.serve.service.ExperimentService` -- the asyncio core:
-  warm per-(config, seed, engine) :class:`~repro.api.experiment.Experiment`
+* :class:`~repro.serve.service.ExperimentService` -- the thread-safe core
+  used by the HTTP façade, the CLI, tests and benchmarks: warm
+  per-(config, seed, engine) :class:`~repro.api.experiment.Experiment`
   sessions, an admission-controlled queue with per-request deadlines and
-  bounded backpressure, and a coalescing batcher that merges compatible
+  bounded backpressure, and one dispatch thread that merges compatible
   concurrent requests into single vectorized simulator passes with results
   byte-identical to solo dispatch;
-* :class:`~repro.serve.service.ServiceRuntime` -- the synchronous wrapper
-  (event loop on a daemon thread) used by the HTTP façade, the CLI, tests
-  and benchmarks;
 * :mod:`repro.serve.http` -- the stdlib-only HTTP transport
   (``POST /v1/run``, ``POST /v1/sweep``, ``GET /v1/metrics``,
   ``GET /v1/health``), started by ``repro serve``;
@@ -38,7 +36,6 @@ from .service import (
     ServeConfig,
     ServeError,
     ServiceClosedError,
-    ServiceRuntime,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "RunRequest",
     "RunOutcome",
     "ExperimentService",
-    "ServiceRuntime",
     "HotResultCache",
     "LatencyWindow",
     "MetricsRegistry",

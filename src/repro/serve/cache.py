@@ -11,8 +11,8 @@ uses, so the two layers can never disagree about identity.
 Entries expire after a TTL (results are deterministic, but the TTL bounds
 memory held for one-off requests and lets operators reason about staleness
 after a redeploy) and are evicted least-recently-used beyond a capacity
-bound.  The cache is thread-safe: the asyncio loop and HTTP threads probe
-it concurrently.
+bound.  The cache is thread-safe: the dispatch thread fills it while HTTP
+handler threads probe it concurrently.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The transport is deliberately pluggable and thin: all queueing, coalescing,
 caching and metrics live in :class:`~repro.serve.service.ExperimentService`;
-this module only parses JSON bodies, bridges handler threads into the
-service's event loop (via :class:`~repro.serve.service.ServiceRuntime`) and
-maps typed serve errors to HTTP statuses.  Only the Python standard library
+this module only parses JSON bodies, submits from its handler threads
+straight to the service (each blocks for its own outcome) and maps typed
+serve errors to HTTP statuses.  Only the Python standard library
 (:mod:`http.server`) is used -- the daemon has zero dependencies beyond the
 package itself.
 
@@ -21,7 +21,8 @@ Endpoints:
   percentiles, derived ratios, service state).
 * ``GET /v1/health`` -- liveness probe: ``{"status": "ok", ...}``.
 
-Error mapping: 400 malformed request, 503 queue full / shutting down,
+Error mapping: 400 malformed request (including a ``Content-Length`` that
+is not a non-negative integer), 503 queue full / shutting down,
 504 deadline exceeded, 500 experiment failure -- each body is
 ``{"error": {"type": ..., "message": ...}}``.
 """
@@ -33,11 +34,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from .service import (
+    ExperimentService,
     RequestValidationError,
     RunRequest,
     ServeConfig,
     ServeError,
-    ServiceRuntime,
 )
 
 __all__ = ["ServeHTTPServer", "make_server"]
@@ -97,7 +98,7 @@ def _request_from_payload(payload: Any) -> RunRequest:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One HTTP request; the server instance carries the runtime."""
+    """One HTTP request; the server instance carries the service."""
 
     server: "ServeHTTPServer"
     protocol_version = "HTTP/1.1"
@@ -139,12 +140,23 @@ class _Handler(BaseHTTPRequestHandler):
                 }
             },
         )
-        self.server.runtime.service.metrics.increment("http_errors_total")
+        self.server.service.metrics.increment("http_errors_total")
 
     def _read_body(self) -> Any:
-        """Decode the JSON request body (empty body -> ``{}``)."""
-        length = int(self.headers.get("Content-Length") or 0)
+        """Decode the JSON request body (empty body -> ``{}``).
+
+        A rejected body is left unread, so its connection is closed after
+        the error response instead of being kept alive.
+        """
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise RequestValidationError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         if length > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise RequestValidationError(
                 f"request body exceeds {_MAX_BODY_BYTES} bytes"
             )
@@ -163,9 +175,9 @@ class _Handler(BaseHTTPRequestHandler):
         """Route ``GET``: ``/v1/metrics`` and ``/v1/health``."""
         try:
             if self.path == "/v1/metrics":
-                self._send_json(200, self.server.runtime.metrics())
+                self._send_json(200, self.server.service.snapshot())
             elif self.path == "/v1/health":
-                snapshot = self.server.runtime.metrics()["service"]
+                snapshot = self.server.service.snapshot()["service"]
                 self._send_json(
                     200,
                     {
@@ -186,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.path == "/v1/run":
                 request = _request_from_payload(self._read_body())
-                outcome = self.server.runtime.run(request)
+                outcome = self.server.service.submit(request)
                 self._send_json(
                     200,
                     {
@@ -204,7 +216,7 @@ class _Handler(BaseHTTPRequestHandler):
                     raise RequestValidationError(
                         "request body must be a JSON object"
                     )
-                sweep = self.server.runtime.sweep(**payload)
+                sweep = self.server.service.submit_sweep(**payload)
                 self._send_json(200, {"sweep": sweep.to_dict()})
             else:
                 self._send_json(
@@ -215,24 +227,24 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
-    """The daemon: a threading HTTP server bound to one service runtime.
+    """The daemon: a threading HTTP server bound to one service.
 
-    Handler threads block in :meth:`ServiceRuntime.run` bridges while the
-    single event loop coalesces their requests -- which is exactly the
-    concurrency shape the batcher exploits.
+    Each handler thread blocks in :meth:`ExperimentService.submit` while
+    the service's dispatch thread coalesces the queued requests -- which
+    is exactly the concurrency shape the batcher exploits.
 
     Args:
         address: ``(host, port)`` to bind (port 0 picks a free port).
-        runtime: a **started** :class:`ServiceRuntime`.
+        service: a **started** :class:`ExperimentService`.
     """
 
     daemon_threads = True
 
     def __init__(
-        self, address: Tuple[str, int], runtime: ServiceRuntime
+        self, address: Tuple[str, int], service: ExperimentService
     ) -> None:
         super().__init__(address, _Handler)
-        self.runtime = runtime
+        self.service = service
 
     @property
     def url(self) -> str:
@@ -241,9 +253,9 @@ class ServeHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def shutdown(self) -> None:
-        """Stop serving, then drain and close the service runtime."""
+        """Stop serving, then drain and close the service."""
         super().shutdown()
-        self.runtime.close(drain=True)
+        self.service.close(drain=True)
 
 
 def make_server(
@@ -251,7 +263,7 @@ def make_server(
     port: int = 8642,
     config: Optional[ServeConfig] = None,
 ) -> ServeHTTPServer:
-    """Build and start a serve daemon (service runtime + HTTP server).
+    """Build and start a serve daemon (service + HTTP server).
 
     The returned server is bound but not serving; call
     ``serve_forever()`` (typically on a thread) and ``shutdown()`` to stop
@@ -264,9 +276,9 @@ def make_server(
         config: service tunables (:class:`ServeConfig` defaults when
             omitted).
     """
-    runtime = ServiceRuntime(config).start()
+    service = ExperimentService(config).start()
     try:
-        return ServeHTTPServer((host, port), runtime)
+        return ServeHTTPServer((host, port), service)
     except Exception:
-        runtime.close(drain=False)
+        service.close(drain=False)
         raise

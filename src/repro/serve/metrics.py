@@ -5,8 +5,8 @@ stopping it: every admission decision, batch dispatch and cache probe is
 recorded here and exposed as one JSON-safe snapshot (``GET /v1/metrics`` on
 the HTTP façade).  The registry is deliberately tiny and dependency-free --
 plain counters, gauges and bounded-reservoir latency histograms behind one
-lock -- because it is updated from both the asyncio event loop and the
-executor/HTTP threads.
+lock -- because it is updated from both the dispatch thread and the HTTP
+handler threads.
 
 Derived quantities (coalesce ratio, cache hit rate, latency percentiles)
 are computed at snapshot time from the raw counts, so recording stays O(1)

@@ -1,31 +1,29 @@
-"""The in-process asyncio core of the ``repro.serve`` experiment daemon.
+"""The in-process core of the ``repro.serve`` experiment daemon.
 
 Every ``repro run`` process today pays interpreter startup, registry
 construction and workload profiling before its first simulated cycle.  This
 module keeps all of that warm in one long-lived service:
 
-* :class:`ExperimentService` -- an asyncio object owning a long-lived
+* :class:`ExperimentService` -- a thread-safe object owning a long-lived
   :class:`~repro.api.execution.SessionPool` (one warm
   :class:`~repro.api.experiment.Experiment` per (config, seed, engine), so
   workload sparsity profiles and compiled programs are profiled once and
   reused), an admission-controlled request queue with per-request
-  deadlines and bounded backpressure, and a **coalescing batcher** that
-  drains compatible queued requests into groups executed by the same core
-  as sweep shards (:func:`~repro.api.execution.execute_points`): one
+  deadlines and bounded backpressure, and a **coalescing dispatch thread**
+  that drains compatible queued requests into groups executed by the same
+  core as sweep shards (:func:`~repro.api.execution.execute_points`): one
   batched :meth:`~repro.api.experiment.Experiment.run` per config riding
   the vectorized :func:`~repro.sim.vectorized.simulate_jobs` kernel, with
   results byte-identical to one-at-a-time dispatch (pinned by
-  ``tests/serve/``);
+  ``tests/serve/``).  Callers -- the stdlib HTTP façade's handler threads
+  (:mod:`repro.serve.http`), the ``repro serve`` CLI, tests, benchmarks --
+  submit from their own threads and block for the outcome;
 * :class:`HotResultCache` (see :mod:`repro.serve.cache`) layered over the
   sweep service's content-hash disk cache, so repeated identical requests
   never touch the simulator;
 * :class:`MetricsRegistry` (see :mod:`repro.serve.metrics`) recording
   request counts, queue depth, batch sizes, coalesce ratio, latency
-  percentiles and cache hit rates;
-* :class:`ServiceRuntime` -- a thread-hosted synchronous wrapper (event
-  loop on a daemon thread) that the stdlib HTTP façade
-  (:mod:`repro.serve.http`), the ``repro serve`` CLI and plain synchronous
-  callers use.
+  percentiles and cache hit rates.
 
 Request identity reuses :meth:`repro.api.sweep.SweepPoint.cache_key` -- the
 same content hash (experiment, canonical params, seed, engine, full config
@@ -36,11 +34,11 @@ which requests are "the same experiment".
 
 from __future__ import annotations
 
-import asyncio
-import functools
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -75,7 +73,6 @@ __all__ = [
     "RunRequest",
     "RunOutcome",
     "ExperimentService",
-    "ServiceRuntime",
 ]
 
 
@@ -142,14 +139,15 @@ class ServeConfig:
             does not carry its own ``timeout_s``.
         hot_cache_size: capacity of the in-memory TTL/LRU result cache
             (0 disables it).
-        hot_cache_ttl_s: TTL of hot-cache entries (``None`` never expires).
+        hot_cache_ttl_s: positive TTL of hot-cache entries (``None`` never
+            expires).
         cache_dir: optional on-disk result store shared with the sweep
             service (same content-hash keys; the append-only
             :class:`repro.store.PackedResultStore`): hot-cache misses read
             it in one batch per dispatch group and computed results are
             appended in one batch.
         allow_heavy: admit training-based experiments (``table2``; runs for
-            minutes and would monopolise the dispatch executor).  Off by
+            minutes and would monopolise the dispatch thread).  Off by
             default for a live service.
     """
 
@@ -167,6 +165,8 @@ class ServeConfig:
             raise ValueError("default_timeout_s must be positive")
         if self.hot_cache_size < 0:
             raise ValueError("hot_cache_size must be >= 0")
+        if self.hot_cache_ttl_s is not None and self.hot_cache_ttl_s <= 0:
+            raise ValueError("hot_cache_ttl_s must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -322,35 +322,38 @@ class _Pending:
     request: RunRequest
     key: str
     point: SweepPoint
-    future: "asyncio.Future[Tuple[ExperimentResult, int]]"
+    future: "Future[Tuple[ExperimentResult, int]]"
     deadline: float
     enqueued: float
 
 
-_SHUTDOWN = object()  # queue sentinel terminating the batch loop
+_SHUTDOWN = object()  # queue sentinel terminating the dispatch thread
 
 
 # ---------------------------------------------------------------------------
-# The asyncio service core
+# The service core
 # ---------------------------------------------------------------------------
 class ExperimentService:
-    """Long-lived async experiment service with request coalescing.
+    """Long-lived, thread-safe experiment service with request coalescing.
 
-    Lifecycle: construct, ``await start()`` inside a running event loop,
-    submit via :meth:`submit` / :meth:`submit_sweep`, and ``await
-    close(drain=True)`` to stop -- a draining close finishes every admitted
-    request before returning, so no accepted work is ever dropped.
+    Lifecycle: construct, :meth:`start`, submit via :meth:`submit` /
+    :meth:`submit_sweep` from any number of threads, and
+    ``close(drain=True)`` to stop -- a draining close finishes every
+    admitted request before returning, so no accepted work is ever dropped.
+    Use as a context manager for the same lifecycle::
 
-    Dispatch model: a single batcher task takes the first admitted request
-    off the queue, drains whatever else is already queued (it never waits
-    for companions), groups compatible requests -- same (experiment,
-    config, seed, engine, non-model params), mergeable experiment -- and
-    executes each group as **one** batched ``Experiment.run`` on a
-    dispatch thread (the simulation is CPU-bound synchronous NumPy; the
-    event loop stays responsive).
-    Requests arriving while a batch executes pile up in the queue and
-    coalesce into the next batch, which is where the throughput under
-    concurrent load comes from.
+        with ExperimentService() as service:
+            outcome = service.submit(RunRequest("fig7", models=("alexnet",)))
+
+    Dispatch model: :meth:`submit` runs in the caller's thread up to the
+    queue and then blocks on the request's future.  One dispatch thread
+    takes the first admitted request off the queue, drains whatever else is
+    already queued (it never waits for companions), groups compatible
+    requests -- same (experiment, config, seed, engine, non-model params),
+    mergeable experiment -- and executes each group as **one** batched
+    ``Experiment.run``.  Requests arriving while a batch executes pile up
+    in the queue and coalesce into the next batch, which is where the
+    throughput under concurrent load comes from.
 
     Args:
         config: service tunables (:class:`ServeConfig` defaults when
@@ -371,79 +374,86 @@ class ExperimentService:
         # hot-cache-miss probe an in-process set lookup (records appended
         # by other processes are scanned in when pack.data grows).
         self._store = open_store(self.config.cache_dir)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional["asyncio.Queue[Any]"] = None
-        self._batcher: Optional["asyncio.Task[None]"] = None
-        self._run_executor: Optional[ThreadPoolExecutor] = None
+        # Guards the open/closing state together with every enqueue, so no
+        # request or sweep is admitted behind the shutdown sentinel.
+        self._lock = threading.Lock()
+        self._queue: Optional["queue.Queue[Any]"] = None
+        self._dispatcher: Optional[threading.Thread] = None
         self._sweep_executor: Optional[ThreadPoolExecutor] = None
         self._sessions = SessionPool()
-        self._inflight_sweeps: set = set()
         self._started = False
         self._closing = False
         self.started_at: Optional[float] = None
 
     # -- lifecycle ------------------------------------------------------
-    async def start(self) -> "ExperimentService":
-        """Bind to the running loop and start the batcher task."""
-        if self._started:
-            return self
-        self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
-        self._run_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-run"
-        )
-        self._sweep_executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="repro-serve-sweep"
-        )
-        self._batcher = self._loop.create_task(
-            self._batch_loop(), name="repro-serve-batcher"
-        )
-        self._started = True
-        self._closing = False
-        self.started_at = time.monotonic()
+    def start(self) -> "ExperimentService":
+        """Start the dispatch thread and the sweep executor (idempotent)."""
+        with self._lock:
+            if self._started:
+                return self
+            self._queue = queue.Queue()
+            self._sweep_executor = ThreadPoolExecutor(
+                max_workers=2, thread_name_prefix="repro-serve-sweep"
+            )
+            self._dispatcher = threading.Thread(
+                target=self._batch_loop,
+                args=(self._queue,),
+                name="repro-serve-dispatch",
+                daemon=True,
+            )
+            self._dispatcher.start()
+            self._started = True
+            self._closing = False
+            self.started_at = time.monotonic()
         return self
 
-    async def close(self, drain: bool = True) -> None:
+    def __enter__(self) -> "ExperimentService":
+        """Context-manager entry: :meth:`start`."""
+        return self.start()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        """Context-manager exit: draining :meth:`close`."""
+        self.close()
+
+    def close(self, drain: bool = True) -> None:
         """Stop the service.
 
         Args:
             drain: finish every admitted request (and in-flight sweep)
                 before returning -- the graceful-shutdown path.  With
                 ``False``, queued requests fail with
-                :class:`ServiceClosedError`.
+                :class:`ServiceClosedError` and queued sweeps are
+                cancelled; a group already executing still completes.
         """
-        if not self._started:
-            return
-        self._closing = True
-        assert self._queue is not None and self._batcher is not None
-        if drain:
+        with self._lock:
+            if not self._started or self._closing:
+                return
+            self._closing = True
+            assert self._queue is not None
+            if not drain:
+                while True:
+                    try:
+                        pending = self._queue.get_nowait()
+                    except queue.Empty:
+                        break
+                    if pending.future.set_running_or_notify_cancel():
+                        pending.future.set_exception(
+                            ServiceClosedError("service closed before dispatch")
+                        )
             self._queue.put_nowait(_SHUTDOWN)
-            await self._batcher
-            if self._inflight_sweeps:
-                await asyncio.gather(
-                    *tuple(self._inflight_sweeps), return_exceptions=True
-                )
-        else:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
-                if item is not _SHUTDOWN and not item.future.done():
-                    item.future.set_exception(
-                        ServiceClosedError("service closed before dispatch")
-                    )
-        for executor in (self._run_executor, self._sweep_executor):
-            if executor is not None:
-                executor.shutdown(wait=drain, cancel_futures=not drain)
+        assert self._dispatcher is not None and self._sweep_executor is not None
+        if drain:
+            self._dispatcher.join()
+        self._sweep_executor.shutdown(wait=drain, cancel_futures=not drain)
         self._started = False
         self.metrics.set_gauge("queue_depth", 0)
 
     # -- submission -----------------------------------------------------
-    async def submit(self, request: RunRequest) -> RunOutcome:
+    def submit(self, request: RunRequest) -> RunOutcome:
         """Admit, (possibly) coalesce and execute one experiment request.
+
+        Blocks the calling thread until the outcome is ready or the
+        request's deadline expires.
 
         Returns:
             The :class:`RunOutcome` (typed result + serving metadata).
@@ -458,7 +468,6 @@ class ExperimentService:
         if not self._started or self._closing:
             self.metrics.increment("rejected_total")
             raise ServiceClosedError("service is not accepting requests")
-        assert self._loop is not None and self._queue is not None
         start = time.monotonic()
         self.metrics.increment("requests_total")
         try:
@@ -480,28 +489,33 @@ class ExperimentService:
                 result=cached, cache_hit=True, batch_size=0, latency_s=latency
             )
         self.metrics.increment("cache_misses")
-        if self._queue.qsize() >= self.config.max_queue:
-            self.metrics.increment("rejected_total")
-            raise QueueFullError(
-                f"request queue is full ({self.config.max_queue} pending); "
-                "retry later"
-            )
         timeout = request.timeout_s or self.config.default_timeout_s
         pending = _Pending(
             request=request,
             key=key,
             point=point,
-            future=self._loop.create_future(),
+            future=Future(),
             deadline=time.monotonic() + timeout,
             enqueued=start,
         )
-        self._queue.put_nowait(pending)
-        self.metrics.set_gauge("queue_depth", self._queue.qsize())
+        with self._lock:
+            if self._closing:
+                self.metrics.increment("rejected_total")
+                raise ServiceClosedError("service is not accepting requests")
+            assert self._queue is not None
+            if self._queue.qsize() >= self.config.max_queue:
+                self.metrics.increment("rejected_total")
+                raise QueueFullError(
+                    f"request queue is full ({self.config.max_queue} "
+                    "pending); retry later"
+                )
+            self._queue.put_nowait(pending)
+            self.metrics.set_gauge("queue_depth", self._queue.qsize())
         try:
-            result, batch_size = await asyncio.wait_for(
-                asyncio.shield(pending.future), timeout=timeout
-            )
-        except asyncio.TimeoutError:
+            result, batch_size = pending.future.result(timeout=timeout)
+        except FutureTimeoutError:
+            # A queued entry is cancelled and later skipped; once claimed by
+            # the dispatch thread, cancel() fails and its result is dropped.
             pending.future.cancel()
             self.metrics.increment("timeout_total")
             raise DeadlineExceededError(
@@ -510,8 +524,6 @@ class ExperimentService:
             ) from None
         except DeadlineExceededError:
             self.metrics.increment("timeout_total")
-            raise
-        except ServeError:
             raise
         latency = time.monotonic() - start
         self.metrics.increment("requests_ok")
@@ -523,12 +535,13 @@ class ExperimentService:
             latency_s=latency,
         )
 
-    async def submit_sweep(self, **kwargs: Any) -> SweepResult:
-        """Run a sweep grid on the sweep executor (off the event loop).
+    def submit_sweep(self, **kwargs: Any) -> SweepResult:
+        """Run a sweep grid on the sweep executor and block for its result.
 
         Accepts the keyword arguments of :func:`repro.api.sweep.run_sweep`.
-        Concurrent sweeps sharing a journal path fail fast via the
-        journal's exclusive lock
+        Sweeps run on their own two-thread executor, so a long grid never
+        holds up the dispatch thread.  Concurrent sweeps sharing a journal
+        path fail fast via the journal's exclusive lock
         (:class:`~repro.api.sweep.SweepJournalLockedError`).
 
         Raises:
@@ -537,7 +550,6 @@ class ExperimentService:
         """
         if not self._started or self._closing:
             raise ServiceClosedError("service is not accepting requests")
-        assert self._loop is not None and self._sweep_executor is not None
         allowed = {
             "experiments", "models", "configs", "seeds", "max_workers",
             "cache_dir", "params_by_experiment", "engine", "shards",
@@ -550,19 +562,18 @@ class ExperimentService:
                 f"unknown sweep parameters {sorted(unknown)}; "
                 f"allowed: {sorted(allowed)}"
             )
+        with self._lock:
+            if self._closing:
+                raise ServiceClosedError("service is not accepting requests")
+            assert self._sweep_executor is not None
+            future = self._sweep_executor.submit(run_sweep, **kwargs)
         self.metrics.increment("sweeps_total")
         started = time.monotonic()
-        future = self._loop.run_in_executor(
-            self._sweep_executor, functools.partial(run_sweep, **kwargs)
-        )
-        self._inflight_sweeps.add(future)
         try:
-            result = await future
+            result = future.result()
         except Exception:
             self.metrics.increment("sweep_failures_total")
             raise
-        finally:
-            self._inflight_sweeps.discard(future)
         self.metrics.observe("sweep", time.monotonic() - started)
         return result
 
@@ -601,35 +612,33 @@ class ExperimentService:
             return None
         return (merge, point.seed, point.engine)
 
-    async def _batch_loop(self) -> None:
-        """The batcher task: collect -> group -> dispatch, forever.
+    def _batch_loop(self, requests: "queue.Queue[Any]") -> None:
+        """The dispatch thread: collect -> group -> dispatch, until shutdown.
 
         A batch is the first queued request plus whatever else is already
         queued -- no timed wait, so a lone request dispatches at once, and
         requests that arrive while a batch executes form the next one.
         """
-        assert self._queue is not None and self._loop is not None
         stop = False
         while not stop:
-            item = await self._queue.get()
+            item = requests.get()
             if item is _SHUTDOWN:
                 break
             batch: List[_Pending] = [item]
             while True:
                 try:
-                    extra = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
+                    extra = requests.get_nowait()
+                except queue.Empty:
                     break
                 if extra is _SHUTDOWN:
                     stop = True
                     break
                 batch.append(extra)
-            self.metrics.set_gauge("queue_depth", self._queue.qsize())
-            await self._dispatch(batch)
+            self.metrics.set_gauge("queue_depth", requests.qsize())
+            self._dispatch(batch)
 
-    async def _dispatch(self, batch: List[_Pending]) -> None:
-        """Group one drained batch and execute each group on the executor."""
-        assert self._loop is not None and self._run_executor is not None
+    def _dispatch(self, batch: List[_Pending]) -> None:
+        """Group one drained batch and execute each group in turn."""
         groups: Dict[Any, List[_Pending]] = {}
         standalone: List[List[_Pending]] = []
         for pending in batch:
@@ -642,8 +651,11 @@ class ExperimentService:
             now = time.monotonic()
             live: List[_Pending] = []
             for pending in group:
-                if pending.future.done():
-                    continue  # caller gave up (deadline raced the batcher)
+                # Claiming the future makes it uncancellable; an entry the
+                # caller already gave up on (deadline raced the dispatcher)
+                # is skipped.
+                if not pending.future.set_running_or_notify_cancel():
+                    continue
                 if now >= pending.deadline:
                     pending.future.set_exception(
                         DeadlineExceededError(
@@ -659,25 +671,24 @@ class ExperimentService:
             self.metrics.increment("batched_requests_total", len(live))
             self.metrics.observe("batch_size", float(len(live)))
             started = time.monotonic()
-            outcomes = await self._loop.run_in_executor(
-                self._run_executor, self._execute_group, live
-            )
+            try:
+                outcomes = self._execute_group(live)
+            except Exception as error:  # keep the thread; fail the group
+                outcomes = [error] * len(live)
             self.metrics.observe("batch_execute", time.monotonic() - started)
             for pending, outcome in zip(live, outcomes):
                 if isinstance(outcome, Exception):
                     self.metrics.increment("failed_total")
-                    if not pending.future.done():
-                        pending.future.set_exception(outcome)
+                    pending.future.set_exception(outcome)
                 else:
                     self.hot_cache.put(pending.key, outcome)
-                    if not pending.future.done():
-                        pending.future.set_result((outcome, len(live)))
+                    pending.future.set_result((outcome, len(live)))
 
     # -- synchronous execution (dispatch thread) ------------------------
     def _execute_group(
         self, group: Sequence[_Pending]
     ) -> List[Union[ExperimentResult, Exception]]:
-        """Execute one compatible group synchronously (on the executor).
+        """Execute one compatible group on the dispatch thread.
 
         Runs :func:`~repro.api.execution.execute_points` on the daemon's
         long-lived session pool and store (dedupe, one batched store read,
@@ -706,90 +717,3 @@ class ExperimentService:
             outcomes.append(result)
         return outcomes
 
-
-# ---------------------------------------------------------------------------
-# Thread-hosted synchronous wrapper
-# ---------------------------------------------------------------------------
-class ServiceRuntime:
-    """A running :class:`ExperimentService` on a dedicated loop thread.
-
-    This is the deployment shape of the service: the asyncio core runs on
-    one daemon thread while synchronous callers -- the stdlib HTTP façade's
-    handler threads, the CLI, tests, benchmarks -- submit through
-    :func:`asyncio.run_coroutine_threadsafe` bridges.
-
-    Use as a context manager, or call :meth:`start` / :meth:`close`::
-
-        with ServiceRuntime() as runtime:
-            outcome = runtime.run(RunRequest("fig7", models=("alexnet",)))
-
-    Args:
-        config: service tunables (:class:`ServeConfig` defaults when
-            omitted).
-    """
-
-    def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.service = ExperimentService(config)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-serve-loop", daemon=True
-        )
-        self._started = False
-
-    def _run_loop(self) -> None:
-        """Loop-thread body: run the event loop until :meth:`close`."""
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def start(self) -> "ServiceRuntime":
-        """Start the loop thread and the service (idempotent)."""
-        if self._started:
-            return self
-        self._thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.service.start(), self._loop
-        ).result(timeout=10)
-        self._started = True
-        return self
-
-    def __enter__(self) -> "ServiceRuntime":
-        """Context-manager entry: :meth:`start`."""
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: draining :meth:`close`."""
-        self.close()
-
-    def run(self, request: RunRequest) -> RunOutcome:
-        """Submit one request and block for its outcome (typed errors
-        propagate unchanged)."""
-        if not self._started:
-            raise ServiceClosedError("runtime is not started")
-        return asyncio.run_coroutine_threadsafe(
-            self.service.submit(request), self._loop
-        ).result()
-
-    def sweep(self, **kwargs: Any) -> SweepResult:
-        """Run a sweep through the service (see
-        :meth:`ExperimentService.submit_sweep`)."""
-        if not self._started:
-            raise ServiceClosedError("runtime is not started")
-        return asyncio.run_coroutine_threadsafe(
-            self.service.submit_sweep(**kwargs), self._loop
-        ).result()
-
-    def metrics(self) -> Dict[str, Any]:
-        """Live metrics snapshot (see :meth:`ExperimentService.snapshot`)."""
-        return self.service.snapshot()
-
-    def close(self, drain: bool = True) -> None:
-        """Stop the service (draining by default) and the loop thread."""
-        if not self._started:
-            return
-        self._started = False
-        asyncio.run_coroutine_threadsafe(
-            self.service.close(drain=drain), self._loop
-        ).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()

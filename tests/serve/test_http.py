@@ -197,6 +197,39 @@ class TestKeepAlive:
                 ), head
 
 
+class TestBodyFraming:
+    @pytest.mark.parametrize(
+        "length, match",
+        [
+            (b"abc", "Content-Length"),
+            (b"-5", "Content-Length"),
+            (b"1e3", "Content-Length"),
+            (b"2000000", "exceeds"),
+        ],
+    )
+    def test_rejected_body_is_400_and_closes(self, server, length, match):
+        """A Content-Length that is not a non-negative integer, or is over
+        the cap, is a client error; the body stays unread, so the
+        connection closes instead of being kept alive."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/run HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            raw = b""
+            while True:  # until EOF: the server must close the connection
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, body = raw.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        error = json.loads(body)["error"]
+        assert error["type"] == "RequestValidationError"
+        assert match in error["message"]
+
+
 class TestPayloadParsing:
     def test_minimal_payload(self):
         request = _request_from_payload({"experiment": "fig7"})

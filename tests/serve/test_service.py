@@ -4,13 +4,15 @@ The serving contract pinned here: coalesced concurrent requests return
 results **byte-identical** to one-at-a-time dispatch; deadlines surface as
 typed :class:`DeadlineExceededError`; admission control rejects beyond
 ``max_queue`` with :class:`QueueFullError`; and a draining close finishes
-every admitted request.  Everything drives plain :mod:`asyncio` (no asyncio
-pytest plugin) via ``asyncio.run`` or the synchronous
-:class:`ServiceRuntime` wrapper.
+every admitted request.  Concurrent callers are plain threads, the shape
+of the HTTP façade's handler threads.  Coalescing is made deterministic by
+holding the dispatch thread inside a gated blocker group until every
+request under test is queued.
 """
 
-import asyncio
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.serve import (
     RunRequest,
     ServeConfig,
     ServiceClosedError,
-    ServiceRuntime,
 )
 
 MODELS = ("alexnet", "resnet18", "mobilenetv2")
@@ -107,29 +108,80 @@ class TestRunRequestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Core dispatch semantics (asyncio, no plugin)
+# Core dispatch semantics (caller threads + one dispatch thread)
 # ---------------------------------------------------------------------------
+#: A cheap standalone request (table1 never coalesces) that holds the
+#: dispatch thread while the requests under test queue up behind it.
+BLOCKER = RunRequest("table1")
+
+
+def wait_until(predicate, timeout=30.0):
+    """Poll ``predicate`` until it holds; fail the test on timeout."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def queue_depth(service):
+    return service.snapshot()["service"]["queue_depth"]
+
+
+class HeldDispatch:
+    """Gate ``service._execute_group`` so the dispatch thread can be held.
+
+    :meth:`hold` submits :data:`BLOCKER` and returns once the dispatch
+    thread is parked inside its group; requests submitted afterwards queue
+    up until :meth:`release`.  Only the first group is gated.
+    """
+
+    def __init__(self, service, pool):
+        self.service = service
+        self.pool = pool
+        self.entered = threading.Event()
+        self.released = threading.Event()
+        original = service._execute_group
+
+        def gated(group):
+            if not self.entered.is_set():
+                self.entered.set()
+                self.released.wait(timeout=30)
+            return original(group)
+
+        service._execute_group = gated
+
+    def hold(self, request=BLOCKER):
+        blocker = self.pool.submit(self.service.submit, request)
+        assert self.entered.wait(timeout=30)
+        return blocker
+
+    def release(self):
+        self.released.set()
+
+
+def submit_coalesced(service, requests):
+    """Submit ``requests`` from one thread each while the dispatch thread
+    is held, so all of them coalesce into the next batch; return their
+    outcomes in order."""
+    with ThreadPoolExecutor(max_workers=len(requests) + 1) as pool:
+        held = HeldDispatch(service, pool)
+        blocker = held.hold()
+        try:
+            futures = [pool.submit(service.submit, r) for r in requests]
+            wait_until(lambda: queue_depth(service) == len(requests))
+        finally:
+            held.release()
+        blocker.result(timeout=60)
+        return [future.result(timeout=60) for future in futures]
+
+
 class TestServiceDispatch:
     def test_coalesced_requests_byte_identical_to_serial(self):
         """The headline contract: one merged batch == N solo runs, bytewise."""
-
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(hot_cache_size=0)
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            outcomes = submit_coalesced(
+                service, [RunRequest("fig7", models=(m,)) for m in MODELS]
             )
-            await service.start()
-            try:
-                tasks = [
-                    asyncio.ensure_future(
-                        service.submit(RunRequest("fig7", models=(model,)))
-                    )
-                    for model in MODELS
-                ]
-                return await asyncio.gather(*tasks)
-            finally:
-                await service.close()
-
-        outcomes = asyncio.run(scenario())
         assert [o.batch_size for o in outcomes] == [len(MODELS)] * len(MODELS)
         for model, outcome in zip(MODELS, outcomes):
             expected = direct_result(RunRequest("fig7", models=(model,)))
@@ -140,29 +192,14 @@ class TestServiceDispatch:
         run one merged call per config, and split back bytewise."""
 
         configs = ("paper-28nm", "dense-baseline", "weight-sparsity-only")
-
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(hot_cache_size=0)
-            )
-            await service.start()
-            try:
-                tasks = [
-                    asyncio.ensure_future(
-                        service.submit(
-                            RunRequest(
-                                "fig7", models=("alexnet",), config=config
-                            )
-                        )
-                    )
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            outcomes = submit_coalesced(
+                service,
+                [
+                    RunRequest("fig7", models=("alexnet",), config=config)
                     for config in configs
-                ]
-                outcomes = await asyncio.gather(*tasks)
-                return outcomes, service.metrics.snapshot()
-            finally:
-                await service.close()
-
-        outcomes, metrics = asyncio.run(scenario())
+                ],
+            )
         assert [o.batch_size for o in outcomes] == [len(configs)] * len(
             configs
         )
@@ -173,47 +210,23 @@ class TestServiceDispatch:
             assert outcome.result.to_json() == expected.to_json()
 
     def test_identical_requests_deduplicate_within_batch(self):
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(hot_cache_size=0)
-            )
-            await service.start()
-            try:
-                request = RunRequest("fig7", models=("alexnet",))
-                tasks = [
-                    asyncio.ensure_future(service.submit(request))
-                    for _ in range(3)
-                ]
-                return await asyncio.gather(*tasks)
-            finally:
-                await service.close()
-
-        outcomes = asyncio.run(scenario())
+        request = RunRequest("fig7", models=("alexnet",))
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            outcomes = submit_coalesced(service, [request] * 3)
         payloads = {o.result.to_json() for o in outcomes}
         assert len(payloads) == 1  # one computation, shared by all three
 
     def test_incompatible_requests_do_not_merge(self):
         """Different seeds are different buckets; results stay per-seed."""
-
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(hot_cache_size=0)
-            )
-            await service.start()
-            try:
-                tasks = [
-                    asyncio.ensure_future(
-                        service.submit(
-                            RunRequest("fig7", models=("alexnet",), seed=seed)
-                        )
-                    )
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            outcomes = submit_coalesced(
+                service,
+                [
+                    RunRequest("fig7", models=("alexnet",), seed=seed)
                     for seed in (0, 1)
-                ]
-                return await asyncio.gather(*tasks)
-            finally:
-                await service.close()
-
-        outcomes = asyncio.run(scenario())
+                ],
+            )
+        assert [o.batch_size for o in outcomes] == [1, 1]
         assert [o.result.seed for o in outcomes] == [0, 1]
         for seed, outcome in zip((0, 1), outcomes):
             expected = direct_result(
@@ -234,97 +247,128 @@ class TestServiceDispatch:
 
         monkeypatch.setattr(Experiment, "run", gated)
 
-        async def scenario():
-            service = ExperimentService(ServeConfig(hot_cache_size=0))
-            await service.start()
-            try:
-                first = asyncio.ensure_future(
-                    service.submit(RunRequest("fig7", models=("alexnet",)))
-                )
-                # The dispatch thread is now held inside Experiment.run.
-                assert await asyncio.to_thread(entered.wait, 30)
-                with pytest.raises(DeadlineExceededError, match="deadline"):
-                    await service.submit(
-                        RunRequest(
-                            "fig7", models=("resnet18",), timeout_s=0.05
-                        )
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                try:
+                    first = pool.submit(
+                        service.submit, RunRequest("fig7", models=("alexnet",))
                     )
-                release.set()
-                await first
-                return service.metrics.counter("timeout_total")
-            finally:
-                release.set()
-                await service.close()
+                    # The dispatch thread is now held inside Experiment.run.
+                    assert entered.wait(timeout=30)
+                    with pytest.raises(DeadlineExceededError, match="deadline"):
+                        service.submit(
+                            RunRequest(
+                                "fig7", models=("resnet18",), timeout_s=0.05
+                            )
+                        )
+                finally:
+                    release.set()
+                first.result(timeout=60)
+            timeouts = service.metrics.counter("timeout_total")
+        assert timeouts == 1
 
-        assert asyncio.run(scenario()) == 1
+    def test_expired_queued_request_is_skipped(self):
+        """A request whose caller gave up while it was queued is skipped by
+        the dispatch thread (no result on a cancelled future), which stays
+        alive and serves the next request."""
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                held = HeldDispatch(service, pool)
+                blocker = held.hold()
+                try:
+                    with pytest.raises(DeadlineExceededError, match="deadline"):
+                        service.submit(
+                            RunRequest(
+                                "fig7", models=("alexnet",), timeout_s=0.05
+                            )
+                        )
+                finally:
+                    held.release()
+                blocker.result(timeout=60)
+            request = RunRequest("fig7", models=("resnet18",))
+            outcome = service.submit(request)
+            assert service._dispatcher.is_alive()
+            counters = service.snapshot()["counters"]
+        assert counters["timeout_total"] == 1
+        assert "failed_total" not in counters
+        # The blocker and the follow-up ran; the expired entry never did.
+        assert counters["batched_requests_total"] == 2
+        assert outcome.batch_size == 1
+        assert outcome.result.to_json() == direct_result(request).to_json()
 
     def test_queue_full_rejection(self):
         """Beyond max_queue queued requests, admission raises QueueFullError."""
-
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(max_queue=1, hot_cache_size=0)
-            )
-            await service.start()
-            release = threading.Event()
-            original = service._execute_group
-
-            def blocked(group):
-                release.wait(timeout=30)
-                return original(group)
-
-            service._execute_group = blocked
-            try:
-                first = asyncio.ensure_future(
-                    service.submit(RunRequest("fig7", models=("alexnet",)))
-                )
-                await asyncio.sleep(0.1)  # batcher now blocked in executor
-                second = asyncio.ensure_future(
-                    service.submit(RunRequest("fig7", models=("resnet18",)))
-                )
-                await asyncio.sleep(0.05)  # second fills the queue
-                with pytest.raises(QueueFullError, match="queue is full"):
-                    await service.submit(
-                        RunRequest("fig7", models=("mobilenetv2",))
+        config = ServeConfig(max_queue=1, hot_cache_size=0)
+        with ExperimentService(config) as service:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                held = HeldDispatch(service, pool)
+                try:
+                    # The first request occupies the dispatch thread ...
+                    first = held.hold(RunRequest("fig7", models=("alexnet",)))
+                    second = pool.submit(
+                        service.submit, RunRequest("fig7", models=("resnet18",))
                     )
-                release.set()
-                outcomes = await asyncio.gather(first, second)
-                rejected = service.metrics.counter("rejected_total")
-                return outcomes, rejected
-            finally:
-                release.set()
-                await service.close()
-
-        outcomes, rejected = asyncio.run(scenario())
+                    # ... and the second request fills the queue.
+                    wait_until(lambda: queue_depth(service) == 1)
+                    with pytest.raises(QueueFullError, match="queue is full"):
+                        service.submit(
+                            RunRequest("fig7", models=("mobilenetv2",))
+                        )
+                finally:
+                    held.release()
+                outcomes = [first.result(60), second.result(60)]
+            rejected = service.metrics.counter("rejected_total")
         assert rejected == 1
         assert [len(o.result.rows) for o in outcomes] == [1, 1]
 
     def test_graceful_shutdown_drains_admitted_requests(self):
         """close(drain=True) finishes queued work; new submits are refused."""
-
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(hot_cache_size=0)
-            )
-            await service.start()
-            tasks = [
-                asyncio.ensure_future(
-                    service.submit(RunRequest("fig7", models=(model,)))
-                )
-                for model in MODELS
-            ]
-            await asyncio.sleep(0)  # let every submit reach the queue
-            await service.close(drain=True)
-            outcomes = await asyncio.gather(*tasks)
-            with pytest.raises(ServiceClosedError):
-                await service.submit(RunRequest("fig7", models=("alexnet",)))
-            return outcomes
-
-        outcomes = asyncio.run(scenario())
+        service = ExperimentService(ServeConfig(hot_cache_size=0)).start()
+        with ThreadPoolExecutor(max_workers=len(MODELS) + 2) as pool:
+            held = HeldDispatch(service, pool)
+            try:
+                blocker = held.hold()
+                futures = [
+                    pool.submit(
+                        service.submit, RunRequest("fig7", models=(model,))
+                    )
+                    for model in MODELS
+                ]
+                wait_until(lambda: queue_depth(service) == len(MODELS))
+                closing = pool.submit(service.close, drain=True)
+                wait_until(lambda: service.snapshot()["service"]["closing"])
+                with pytest.raises(ServiceClosedError):
+                    service.submit(RunRequest("fig7", models=("alexnet",)))
+            finally:
+                held.release()
+            closing.result(timeout=60)
+            blocker.result(timeout=60)
+            outcomes = [future.result(timeout=60) for future in futures]
+        with pytest.raises(ServiceClosedError):
+            service.submit(RunRequest("fig7", models=("alexnet",)))
         assert len(outcomes) == len(MODELS)
         for model, outcome in zip(MODELS, outcomes):
             expected = direct_result(RunRequest("fig7", models=(model,)))
             assert outcome.result.to_json() == expected.to_json()
+
+    def test_close_without_drain_fails_queued_requests(self):
+        """close(drain=False) fails every queued request with
+        ServiceClosedError; the group already executing still completes."""
+        service = ExperimentService(ServeConfig(hot_cache_size=0)).start()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            held = HeldDispatch(service, pool)
+            try:
+                blocker = held.hold()
+                queued = pool.submit(
+                    service.submit, RunRequest("fig7", models=("alexnet",))
+                )
+                wait_until(lambda: queue_depth(service) == 1)
+                service.close(drain=False)
+                with pytest.raises(ServiceClosedError, match="before dispatch"):
+                    queued.result(timeout=30)
+            finally:
+                held.release()
+            assert blocker.result(timeout=60).batch_size == 1
 
     def test_experiment_failure_is_typed_and_isolated(self, monkeypatch):
         """A failing run maps to RunFailedError without killing the service."""
@@ -334,21 +378,11 @@ class TestServiceDispatch:
 
         monkeypatch.setattr(Experiment, "run", boom)
 
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(hot_cache_size=0)
-            )
-            await service.start()
-            try:
-                with pytest.raises(RunFailedError, match="boom"):
-                    await service.submit(
-                        RunRequest("fig7", models=("alexnet",))
-                    )
-                return service.metrics.counter("failed_total")
-            finally:
-                await service.close()
-
-        assert asyncio.run(scenario()) == 1
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            with pytest.raises(RunFailedError, match="boom"):
+                service.submit(RunRequest("fig7", models=("alexnet",)))
+            failed = service.metrics.counter("failed_total")
+        assert failed == 1
 
     def test_merge_failure_falls_back_visibly(self, monkeypatch):
         """A failing merged run is re-run per request (byte-identical to
@@ -362,24 +396,11 @@ class TestServiceDispatch:
 
         monkeypatch.setattr(Experiment, "run", solo_only)
 
-        async def scenario():
-            service = ExperimentService(
-                ServeConfig(hot_cache_size=0)
+        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+            outcomes = submit_coalesced(
+                service, [RunRequest("fig7", models=(m,)) for m in MODELS]
             )
-            await service.start()
-            try:
-                tasks = [
-                    asyncio.ensure_future(
-                        service.submit(RunRequest("fig7", models=(model,)))
-                    )
-                    for model in MODELS
-                ]
-                outcomes = await asyncio.gather(*tasks)
-                return outcomes, service.snapshot()
-            finally:
-                await service.close()
-
-        outcomes, snapshot = asyncio.run(scenario())
+            snapshot = service.snapshot()
         assert [o.batch_size for o in outcomes] == [len(MODELS)] * len(MODELS)
         assert snapshot["counters"]["merge_fallbacks_total"] == 1
         assert snapshot["counters"]["store_append_skipped_total"] == 0
@@ -393,10 +414,10 @@ class TestServiceDispatch:
 # ---------------------------------------------------------------------------
 class TestServiceCaching:
     def test_hot_cache_hit_on_repeat(self):
-        with ServiceRuntime(ServeConfig()) as runtime:
+        with ExperimentService(ServeConfig()) as service:
             request = RunRequest("fig7", models=("alexnet",))
-            first = runtime.run(request)
-            second = runtime.run(request)
+            first = service.submit(request)
+            second = service.submit(request)
         assert not first.cache_hit
         assert second.cache_hit and second.batch_size == 0
         assert second.result.to_json() == first.result.to_json()
@@ -407,15 +428,15 @@ class TestServiceCaching:
 
         config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
         request = RunRequest("fig7", models=("alexnet",))
-        with ServiceRuntime(config) as runtime:
-            first = runtime.run(request)
+        with ExperimentService(config) as service:
+            first = service.submit(request)
         # The result is packed; the store directory holds nothing else.
         assert [p.name for p in tmp_path.iterdir()] == [DATA_FILENAME]
         assert len(PackedResultStore(tmp_path)) == 1
-        # A fresh runtime (hot cache disabled) serves from the store.
-        with ServiceRuntime(config) as runtime:
-            second = runtime.run(request)
-            hits = runtime.metrics()["counters"].get("disk_cache_hits", 0)
+        # A fresh service (hot cache disabled) serves from the store.
+        with ExperimentService(config) as service:
+            second = service.submit(request)
+            hits = service.snapshot()["counters"].get("disk_cache_hits", 0)
         assert hits == 1
         assert second.result.to_json() == first.result.to_json()
 
@@ -430,9 +451,9 @@ class TestServiceCaching:
             transport="serial",
         )
         config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
-        with ServiceRuntime(config) as runtime:
-            outcome = runtime.run(RunRequest("fig7", models=("alexnet",)))
-            hits = runtime.metrics()["counters"].get("disk_cache_hits", 0)
+        with ExperimentService(config) as service:
+            outcome = service.submit(RunRequest("fig7", models=("alexnet",)))
+            hits = service.snapshot()["counters"].get("disk_cache_hits", 0)
         assert hits == 1
         assert outcome.result.to_json() == swept.results[0].to_json()
 
@@ -451,10 +472,10 @@ class TestServiceCaching:
             (tmp_path / LOCK_FILENAME).write_text(f"{holder.pid}\n")
             config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
             request = RunRequest("fig7", models=("alexnet",))
-            with ServiceRuntime(config) as runtime:
+            with ExperimentService(config) as service:
                 with pytest.warns(RuntimeWarning, match="packed-store append"):
-                    outcome = runtime.run(request)
-                counters = runtime.metrics()["counters"]
+                    outcome = service.submit(request)
+                counters = service.snapshot()["counters"]
         finally:
             holder.kill()
             holder.wait()
@@ -467,9 +488,9 @@ class TestServiceCaching:
             ServeConfig(cache_backend="packed")
 
     def test_metrics_snapshot_shape(self):
-        with ServiceRuntime(ServeConfig()) as runtime:
-            runtime.run(RunRequest("fig7", models=("alexnet",)))
-            snapshot = runtime.metrics()
+        with ExperimentService(ServeConfig()) as service:
+            service.submit(RunRequest("fig7", models=("alexnet",)))
+            snapshot = service.snapshot()
         assert snapshot["counters"]["requests_ok"] == 1
         assert snapshot["derived"]["coalesce_ratio"] == 1.0
         assert snapshot["latency"]["request"]["count"] == 1
@@ -552,16 +573,16 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# ServiceRuntime wrapper
+# Service lifecycle and configuration
 # ---------------------------------------------------------------------------
-class TestServiceRuntime:
+class TestServiceLifecycle:
     def test_threaded_submits_coalesce_and_match_serial(self):
         """Concurrent OS threads (the HTTP shape) coalesce bitwise-correctly."""
         config = ServeConfig(hot_cache_size=0)
         outcomes = {}
-        with ServiceRuntime(config) as runtime:
+        with ExperimentService(config) as service:
             def submit(model):
-                outcomes[model] = runtime.run(
+                outcomes[model] = service.submit(
                     RunRequest("fig7", models=(model,))
                 )
 
@@ -573,7 +594,7 @@ class TestServiceRuntime:
                 thread.start()
             for thread in threads:
                 thread.join()
-            ratio = runtime.metrics()["derived"]["coalesce_ratio"]
+            ratio = service.snapshot()["derived"]["coalesce_ratio"]
         assert set(outcomes) == set(MODELS)
         for model, outcome in outcomes.items():
             expected = direct_result(RunRequest("fig7", models=(model,)))
@@ -581,19 +602,56 @@ class TestServiceRuntime:
         assert ratio >= 1.0  # coalescing is timing-dependent across threads
 
     def test_run_after_close_raises(self):
-        runtime = ServiceRuntime(ServeConfig()).start()
-        runtime.close()
+        service = ExperimentService(ServeConfig()).start()
+        service.close()
         with pytest.raises(ServiceClosedError):
-            runtime.run(RunRequest("fig7", models=("alexnet",)))
+            service.submit(RunRequest("fig7", models=("alexnet",)))
+        with pytest.raises(ServiceClosedError):
+            service.submit_sweep(experiments=["table4"])
+
+    def test_submit_before_start_raises(self):
+        service = ExperimentService(ServeConfig())
+        with pytest.raises(ServiceClosedError):
+            service.submit(RunRequest("fig7", models=("alexnet",)))
+        assert service.snapshot()["service"]["queue_depth"] == 0
+
+    def test_core_error_fails_its_group_and_keeps_dispatching(
+        self, tmp_path, monkeypatch
+    ):
+        """An error escaping the execution core (here a failing store read)
+        reaches the callers of that group; the dispatch thread survives."""
+        config = ServeConfig(hot_cache_size=0, cache_dir=tmp_path)
+        with ExperimentService(config) as service:
+            real_get_many = service._store.get_many
+
+            def broken(keys):
+                monkeypatch.setattr(service._store, "get_many", real_get_many)
+                raise OSError("pack.data unreadable")
+
+            monkeypatch.setattr(service._store, "get_many", broken)
+            with pytest.raises(OSError, match="unreadable"):
+                service.submit(RunRequest("fig7", models=("alexnet",)))
+            outcome = service.submit(RunRequest("fig7", models=("alexnet",)))
+            failed = service.metrics.counter("failed_total")
+        assert failed == 1
+        assert outcome.result.to_json() == direct_result(
+            RunRequest("fig7", models=("alexnet",))
+        ).to_json()
+
+    def test_service_runtime_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.serve import ServiceRuntime  # noqa: F401
 
     def test_serve_config_validation(self):
         for kwargs in (
             {"max_queue": 0},
             {"default_timeout_s": 0.0},
             {"hot_cache_size": -1},
+            {"hot_cache_ttl_s": 0.0},
         ):
             with pytest.raises(ValueError):
                 ServeConfig(**kwargs)
+        assert ServeConfig(hot_cache_ttl_s=None).hot_cache_ttl_s is None
 
     def test_batch_window_option_is_gone(self):
         """The batcher never waits for companions, so there is no window."""
