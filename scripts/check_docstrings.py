@@ -77,6 +77,8 @@ REQUIRED_SYMBOLS = (
     "repro.sim.engines.conformance.conformance_mismatches",
     "repro.sim.engines.conformance.verify_engine",
     "repro.sim.engines.conformance.ConformanceError",
+    "repro.core.fta.layer_statistics",
+    "repro.core.fta.FTAStatistics",
     "repro.workloads.fuzz.fuzz_graph",
     "repro.workloads.fuzz.fuzz_workload",
     "repro.workloads.fuzz.fuzz_corpus",

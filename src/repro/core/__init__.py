@@ -29,11 +29,13 @@ from .dyadic_block import (
 from .fta import (
     FTAConfig,
     FTAResult,
+    FTAStatistics,
     FilterApproximation,
     approximate_filter,
     approximate_layer,
     approximate_model,
     filter_threshold,
+    layer_statistics,
 )
 from .query_table import QueryTableMode, build_table, nearest_in_table
 from .quantization import (
@@ -78,11 +80,13 @@ __all__ = [
     "nearest_in_table",
     "FTAConfig",
     "FTAResult",
+    "FTAStatistics",
     "FilterApproximation",
     "filter_threshold",
     "approximate_filter",
     "approximate_layer",
     "approximate_model",
+    "layer_statistics",
     "QuantizationParams",
     "quantize_weights",
     "dequantize",

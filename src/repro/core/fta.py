@@ -14,6 +14,10 @@ all weights of a filter while leaving their *positions* unstructured:
 The resulting filter can be compressed to exactly ``φ_th`` dyadic blocks per
 weight, which is what lets the DB-PIM macro map 16/φ_th filters per macro and
 keep every active SRAM cell doing useful work.
+
+:func:`approximate_layer` returns the snapped weights;
+:func:`layer_statistics` returns only the thresholds and digit totals,
+computed exactly from a per-filter histogram of the layer's codes.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from .csd import (
     _LUT_MAX_WIDTH,
     DEFAULT_WIDTH,
+    count_nonzero_bits_binary,
     count_nonzero_digits_array,
     max_value,
     min_value,
@@ -37,9 +42,11 @@ __all__ = [
     "FTAConfig",
     "FilterApproximation",
     "FTAResult",
+    "FTAStatistics",
     "filter_threshold",
     "approximate_filter",
     "approximate_layer",
+    "layer_statistics",
     "approximate_model",
 ]
 
@@ -200,23 +207,46 @@ def approximate_filter(
     )
 
 
-def _layer_thresholds(counts: np.ndarray, config: FTAConfig) -> np.ndarray:
-    """Vectorised :func:`filter_threshold` over a ``(filters, weights)``
-    matrix of digit counts.
+def _filter_major(weights: np.ndarray) -> np.ndarray:
+    """``weights`` as int64 with the filters along axis 0 (a 1-D array is
+    one weight per filter).
 
-    One ``np.bincount`` over row-offset counts yields every filter's count
-    histogram; its argmax is the mode (the first maximum, i.e. the smallest
-    count, wins ties as in :func:`_mode_of_counts`).
+    Raises:
+        ValueError: for an empty layer or an empty filter.
     """
-    bins = max_phi(config.width) + 1
-    filters = counts.shape[0]
-    offsets = np.arange(filters, dtype=np.int64)[:, None] * bins
-    histograms = np.bincount(
-        (counts + offsets).reshape(-1), minlength=filters * bins
-    ).reshape(filters, bins)
+    weights = np.asarray(weights, dtype=np.int64)
+    if weights.ndim < 1 or weights.shape[0] == 0:
+        raise ValueError("layer weights must contain at least one filter")
+    if weights.ndim == 1:
+        weights = weights.reshape(weights.shape[0], 1)
+    if weights[0].size == 0:
+        raise ValueError("cannot derive a threshold for an empty filter")
+    return weights
+
+
+def _row_histograms(values: np.ndarray, bins: int, low: int = 0) -> np.ndarray:
+    """``(rows, bins)`` counts of each row of a matrix of ``low ..
+    low+bins-1`` values, as one ``np.bincount`` over row-offset bins."""
+    rows = values.shape[0]
+    offsets = np.arange(rows, dtype=np.int64)[:, None] * bins - low
+    return np.bincount(
+        (values + offsets).reshape(-1), minlength=rows * bins
+    ).reshape(rows, bins)
+
+
+def _thresholds_from_histograms(
+    histograms: np.ndarray, max_threshold: int
+) -> np.ndarray:
+    """The mode -> ``φ_th`` rule over a ``(filters, bins)`` histogram of
+    per-weight CSD digit counts (vectorised :func:`filter_threshold`).
+
+    The argmax is the mode, so the smallest count wins ties; a mode of 0
+    becomes 1, larger modes are capped at ``max_threshold``, and a filter
+    whose weights are all zero gets 0.
+    """
     mode = histograms.argmax(axis=1)
-    thresholds = np.where(mode == 0, 1, np.minimum(mode, config.max_threshold))
-    thresholds[histograms[:, 0] == counts.shape[1]] = 0  # all-zero filters
+    thresholds = np.where(mode == 0, 1, np.minimum(mode, max_threshold))
+    thresholds[histograms[:, 0] == histograms.sum(axis=1)] = 0  # all-zero
     return thresholds.astype(np.int64)
 
 
@@ -274,16 +304,11 @@ def approximate_layer(
         ValueError: for an empty layer, or weights outside the CSD domain.
     """
     config = config or FTAConfig()
-    weights = np.asarray(weights, dtype=np.int64)
-    if weights.ndim < 1 or weights.shape[0] == 0:
-        raise ValueError("layer weights must contain at least one filter")
-    if weights.ndim == 1:
-        weights = weights.reshape(weights.shape[0], 1)
-    if weights[0].size == 0:
-        raise ValueError("cannot derive a threshold for an empty filter")
+    weights = _filter_major(weights)
     flat = weights.reshape(weights.shape[0], -1)
     counts = count_nonzero_digits_array(flat, config.width)
-    thresholds = _layer_thresholds(counts, config)
+    histograms = _row_histograms(counts, max_phi(config.width) + 1)
+    thresholds = _thresholds_from_histograms(histograms, config.max_threshold)
     approximated = np.zeros_like(flat)
     for threshold in np.unique(thresholds[thresholds > 0]):
         rows = thresholds == threshold
@@ -294,6 +319,92 @@ def approximate_layer(
         original=weights.copy(),
         phi_counts=counts.reshape(weights.shape),
         config=config,
+    )
+
+
+@dataclass(frozen=True)
+class FTAStatistics:
+    """What the cycle model and Fig. 2(a) read from an FTA'd layer: its
+    thresholds and three digit/bit totals, without per-weight arrays.
+
+    Attributes:
+        thresholds: per-filter thresholds ``Φ_th``, shape ``(filters,)``
+            (equal to :attr:`FTAResult.thresholds`).
+        csd_nonzero: non-zero CSD digits of the weights before FTA.
+        fta_nonzero: non-zero CSD digits of the FTA-snapped weights.
+        binary_nonzero: set bits of the weights' two's complement words.
+        elements: weights per filter.
+    """
+
+    thresholds: np.ndarray
+    csd_nonzero: int
+    fta_nonzero: int
+    binary_nonzero: int
+    elements: int
+
+    @property
+    def size(self) -> int:
+        """Number of weights in the layer."""
+        return int(self.thresholds.size) * self.elements
+
+
+def layer_statistics(
+    weights: np.ndarray,
+    config: Optional[FTAConfig] = None,
+    width: int = DEFAULT_WIDTH,
+) -> FTAStatistics:
+    """:func:`approximate_layer`'s thresholds and digit totals, evaluated
+    exactly on the per-filter histogram of the layer's integer codes.
+
+    Every statistic of a weight is a function of its value, so one
+    ``np.bincount`` gives a ``(filters, span)`` histogram over the observed
+    code range (at most 255 codes for INT8 weights) and each total is that
+    histogram dotted with a per-value table: the CSD digit count, the
+    popcount and, per distinct threshold, the digit count of the value's
+    snap into ``T(φ_th)``.  The thresholds apply :func:`approximate_layer`'s
+    mode rule to ``histogram @ one_hot(φ)``.
+
+    Args:
+        weights: filter-major integer array, as for :func:`approximate_layer`.
+        config: FTA configuration; ``config.width`` sets the digit counts
+            the thresholds derive from.
+        width: word width of the three totals (the CSD digits, and the bits
+            of the two's complement words).
+
+    Raises:
+        ValueError: as :func:`approximate_layer` does.
+    """
+    config = config or FTAConfig()
+    weights = _filter_major(weights)
+    flat = weights.reshape(weights.shape[0], -1)
+    low, high = int(flat.min()), int(flat.max())
+    if high - low < flat.size:
+        values = np.arange(low, high + 1, dtype=np.int64)
+        histogram = _row_histograms(flat, values.size, low)
+    else:  # a code range wider than the layer: histogram the distinct codes
+        values, codes = np.unique(flat.reshape(-1), return_inverse=True)
+        histogram = _row_histograms(codes.reshape(flat.shape), values.size)
+    phi = count_nonzero_digits_array(values, config.width)
+    one_hot = phi[:, None] == np.arange(max_phi(config.width) + 1)
+    # Exact in float64 (integer sums below 2**53), and a BLAS product.
+    phi_histogram = histogram.astype(np.float64) @ one_hot
+    thresholds = _thresholds_from_histograms(
+        phi_histogram.astype(np.int64), config.max_threshold
+    )
+    fta_nonzero = 0
+    for threshold in np.unique(thresholds[thresholds > 0]):
+        snapped = _snap_lookup(values, int(threshold), config)
+        fta_nonzero += int(
+            histogram[thresholds == threshold].sum(axis=0)
+            @ count_nonzero_digits_array(snapped, width)
+        )
+    per_value = histogram.sum(axis=0)
+    return FTAStatistics(
+        thresholds=thresholds,
+        csd_nonzero=int(per_value @ count_nonzero_digits_array(values, width)),
+        fta_nonzero=fta_nonzero,
+        binary_nonzero=int(per_value @ count_nonzero_bits_binary(values, width)),
+        elements=flat.shape[1],
     )
 
 

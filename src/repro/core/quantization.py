@@ -103,7 +103,10 @@ def quantize_weights(
     max_abs = np.maximum(max_abs, 1e-12)
     scale = np.asarray(max_abs, dtype=np.float64) / high
     broadcast = _broadcast_scale(scale, weights.shape, channel_axis)
-    quantized = np.clip(np.round(weights / broadcast), low, high).astype(np.int64)
+    quotient = weights / broadcast
+    np.round(quotient, out=quotient)
+    np.clip(quotient, low, high, out=quotient)
+    quantized = quotient.astype(np.int64)
     params = QuantizationParams(
         scale=np.asarray(scale, dtype=np.float64),
         low=low,

@@ -5,7 +5,9 @@ Two families of statistics are implemented:
 * **Weight bit sparsity** (Fig. 2(a)): the fraction of zero bits in INT8
   weights under three encodings -- plain two's complement binary, CSD, and
   the FTA-approximated CSD ("Ours").  CSD adds roughly 5 percentage points of
-  zero bits over binary and FTA adds a further few points.
+  zero bits over binary and FTA adds a further few points.  A layer's three
+  totals come from one :func:`~repro.core.fta.layer_statistics` histogram,
+  never from a materialised FTA'd weight array.
 
 * **Input-feature block sparsity** (Fig. 2(b)): when input features are
   grouped (group sizes 1, 8 or 16), how often an entire bit *column* of the
@@ -26,7 +28,7 @@ from .csd import (
     count_nonzero_bits_binary,
     count_nonzero_digits_array,
 )
-from .fta import FTAConfig, approximate_layer
+from .fta import FTAConfig, FTAStatistics, layer_statistics
 
 __all__ = [
     "WeightSparsityReport",
@@ -60,6 +62,26 @@ class WeightSparsityReport:
         return {"binary": self.binary, "csd": self.csd, "fta": self.fta}
 
 
+def _zero_ratio(nonzero: int, size: int, width: int) -> float:
+    """Fraction of the ``size * width`` digits that are zero."""
+    return 1.0 - float(nonzero) / float(size * width)
+
+
+def _filter_major_statistics(
+    weights: np.ndarray, width: int, fta_config: Optional[FTAConfig]
+) -> FTAStatistics:
+    """:func:`layer_statistics` of ``weights`` with the filters along axis 0
+    (a 1-D array is one filter)."""
+    weights = np.asarray(weights, dtype=np.int64)
+    if weights.size == 0:
+        raise ValueError("cannot analyse an empty weight tensor")
+    if weights.ndim == 1:
+        weights = weights.reshape(1, -1)
+    return layer_statistics(
+        weights.reshape(weights.shape[0], -1), fta_config, width
+    )
+
+
 def weight_zero_bit_ratio_binary(
     weights: np.ndarray, width: int = DEFAULT_WIDTH
 ) -> float:
@@ -68,7 +90,7 @@ def weight_zero_bit_ratio_binary(
     if weights.size == 0:
         raise ValueError("cannot analyse an empty weight tensor")
     nonzero = count_nonzero_bits_binary(weights, width)
-    return 1.0 - float(nonzero.sum()) / float(weights.size * width)
+    return _zero_ratio(nonzero.sum(), weights.size, width)
 
 
 def weight_zero_bit_ratio_csd(
@@ -79,7 +101,7 @@ def weight_zero_bit_ratio_csd(
     if weights.size == 0:
         raise ValueError("cannot analyse an empty weight tensor")
     nonzero = count_nonzero_digits_array(weights, width)
-    return 1.0 - float(nonzero.sum()) / float(weights.size * width)
+    return _zero_ratio(nonzero.sum(), weights.size, width)
 
 
 def weight_zero_bit_ratio_fta(
@@ -93,12 +115,8 @@ def weight_zero_bit_ratio_fta(
         weights: integer weights of shape ``(num_filters, elements)`` or any
             shape whose first axis is the filter axis.
     """
-    weights = np.asarray(weights, dtype=np.int64)
-    if weights.ndim == 1:
-        weights = weights.reshape(1, -1)
-    filter_major = weights.reshape(weights.shape[0], -1)
-    result = approximate_layer(filter_major, fta_config)
-    return weight_zero_bit_ratio_csd(result.approximated, width)
+    stats = _filter_major_statistics(weights, width, fta_config)
+    return _zero_ratio(stats.fta_nonzero, stats.size, width)
 
 
 def analyze_weight_sparsity(
@@ -108,8 +126,9 @@ def analyze_weight_sparsity(
 ) -> WeightSparsityReport:
     """Aggregate the three zero-bit ratios over a list of layers.
 
-    Each entry of ``layer_weights`` must be a filter-major integer array.
-    Ratios are weighted by the number of bits in each layer so the aggregate
+    Each entry of ``layer_weights`` must be a filter-major integer array;
+    its three totals come from one :func:`layer_statistics` pass.  Ratios
+    are weighted by the number of bits in each layer so the aggregate
     matches a whole-model measurement.
     """
     total_bits = 0
@@ -118,13 +137,13 @@ def analyze_weight_sparsity(
     zero_fta = 0.0
     total_weights = 0
     for weights in layer_weights:
-        weights = np.asarray(weights, dtype=np.int64)
-        bits = weights.size * width
+        stats = _filter_major_statistics(weights, width, fta_config)
+        bits = stats.size * width
         total_bits += bits
-        total_weights += weights.size
-        zero_binary += weight_zero_bit_ratio_binary(weights, width) * bits
-        zero_csd += weight_zero_bit_ratio_csd(weights, width) * bits
-        zero_fta += weight_zero_bit_ratio_fta(weights, width, fta_config) * bits
+        total_weights += stats.size
+        zero_binary += _zero_ratio(stats.binary_nonzero, stats.size, width) * bits
+        zero_csd += _zero_ratio(stats.csd_nonzero, stats.size, width) * bits
+        zero_fta += _zero_ratio(stats.fta_nonzero, stats.size, width) * bits
     if total_bits == 0:
         raise ValueError("no weights provided")
     return WeightSparsityReport(

@@ -16,9 +16,12 @@ module synthesises statistically representative weights and activations:
 * **Activations** are ReLU-censored Gaussians whose non-zero fraction is the
   model's ``activation_density``, quantized to unsigned INT8.
 
-The profiles are deterministic given the seed, and the actual FTA algorithm
-and IPU code are run on the synthetic tensors (no shortcut formulas), so the
-downstream speedup/energy model exercises the real algorithm end to end.
+The profiles are deterministic given the seed.  FTA is evaluated exactly on
+each layer's per-filter histogram of INT8 codes
+(:func:`~repro.core.fta.layer_statistics`: the same thresholds and digit
+totals as snapping every weight, without the per-weight arrays) and the IPU
+code runs on the synthetic activations, so the downstream speedup/energy
+model exercises the real algorithm end to end.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ import zlib
 import numpy as np
 
 from ..arch.ipu import InputPreprocessingUnit
-from ..core.csd import count_nonzero_digits_array
-from ..core.fta import FTAConfig, approximate_layer
+from ..core.fta import FTAConfig, layer_statistics
 from ..core.quantization import quantize_weights
-from ..core.sparsity import weight_zero_bit_ratio_binary
 from .layers import LayerShape
 from .models import ModelWorkload
+
+# Unused here, but perfbench/tracer.py probes these names in this module.
+from ..core.csd import count_nonzero_digits_array  # noqa: F401
+from ..core.fta import approximate_layer  # noqa: F401
+from ..core.sparsity import weight_zero_bit_ratio_binary  # noqa: F401
 
 __all__ = [
     "LayerSparsityProfile",
@@ -165,12 +171,16 @@ def synthesize_layer_weights(
     near_zero_std = 0.02 + 0.12 * (1.0 - redundancy)
     outlier_std = 0.45
     outlier_fraction = 0.03 + 0.12 * (1.0 - redundancy)
+    # The draws of ``np.where(is_outlier, normal(0, outlier_std),
+    # normal(0, near_zero_std))``, in order: ``normal(0, s)`` is
+    # ``0 + s * standard_normal()`` value for value, so scaling the standard
+    # draws reproduces it (up to the sign of an exact zero).
     is_outlier = rng.random(size=(filters, elements)) < outlier_fraction
-    weights = np.where(
-        is_outlier,
-        rng.normal(0.0, outlier_std, size=(filters, elements)),
-        rng.normal(0.0, near_zero_std, size=(filters, elements)),
-    )
+    weights = rng.standard_normal(size=(filters, elements))
+    weights *= outlier_std
+    near_zero = rng.standard_normal(size=(filters, elements))
+    near_zero *= near_zero_std
+    np.copyto(weights, near_zero, where=~is_outlier)
     # Guarantee at least one large weight per filter so the quantization
     # scale is set by the outlier component (as in trained networks).
     max_index = rng.integers(0, elements, size=filters)
@@ -199,7 +209,8 @@ def synthesize_activations(
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed + (zlib.crc32(layer.name.encode()) % (1 << 16)) + 7)
     count = min(layer.activation_count, max_samples)
-    values = np.abs(rng.normal(0.0, 1.0, size=count))
+    values = rng.standard_normal(size=count)
+    np.abs(values, out=values)
     # Censor values so only ``density`` of them are non-zero (post-ReLU).
     threshold = np.quantile(values, 1.0 - density)
     values = np.where(values >= threshold, values - threshold, 0.0)
@@ -218,22 +229,19 @@ def profile_layer(
     """Run FTA + IPU analysis on synthetic tensors for one layer."""
     float_weights = synthesize_layer_weights(layer, redundancy, seed)
     int_weights, _ = quantize_weights(float_weights, per_channel=True)
-    result = approximate_layer(int_weights, fta_config)
-    sampled_thresholds = result.thresholds
+    stats = layer_statistics(int_weights, fta_config)
     # Expand the sampled thresholds to the layer's full filter count by
     # cycling through the sample (the statistics are what matters).
-    repeats = -(-layer.out_channels // sampled_thresholds.size)
+    repeats = -(-layer.out_channels // stats.thresholds.size)
     thresholds = tuple(
-        int(v) for v in np.tile(sampled_thresholds, repeats)[: layer.out_channels]
+        np.tile(stats.thresholds, repeats)[: layer.out_channels].tolist()
     )
-    approx = result.approximated
-    total_digits = approx.size * 8
+    total_digits = stats.size * 8
     # Zero-bit ratio of the approximated weights (in CSD digit terms).
-    nonzero_digits = int(count_nonzero_digits_array(approx).sum())
-    zero_ratio = 1.0 - nonzero_digits / total_digits
-    binary_zero_ratio = weight_zero_bit_ratio_binary(int_weights)
-    allocated = int(np.maximum(sampled_thresholds, 1).sum()) * approx.shape[1]
-    utilization = nonzero_digits / allocated if allocated else 0.0
+    zero_ratio = 1.0 - stats.fta_nonzero / total_digits
+    binary_zero_ratio = 1.0 - float(stats.binary_nonzero) / float(total_digits)
+    allocated = int(np.maximum(stats.thresholds, 1).sum()) * stats.elements
+    utilization = stats.fta_nonzero / allocated if allocated else 0.0
 
     activations = synthesize_activations(layer, activation_density, seed)
     ipu = InputPreprocessingUnit(group_size=input_group)
