@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro import __version__
+from bench_meta import bench_metadata
 from repro.api import get_config
 from repro.compiler import compile_model
 from repro.sim.cycle_model import CycleModel
@@ -64,9 +62,7 @@ def run_benchmark(
     cycle_model = CycleModel(config)
     report: Dict[str, object] = {
         "benchmark": "compile",
-        "version": __version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **bench_metadata(),
         "preset": preset,
         "variant": variant,
         "repeats": repeats,

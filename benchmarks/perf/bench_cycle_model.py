@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro import __version__
+from bench_meta import bench_metadata
 from repro.api import Experiment, list_configs
 from repro.workloads import list_workloads
 
@@ -71,9 +69,7 @@ def run_benchmark(
     report: Dict[str, object] = {
         "benchmark": "cycle_model",
         "experiment": "fig7",
-        "version": __version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **bench_metadata(),
         "models": list(models),
         "repeats": repeats,
         "presets": {},

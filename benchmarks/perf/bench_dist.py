@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -41,7 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import repro
-from repro import __version__
+from bench_meta import bench_metadata
 from repro.api import run_sweep
 
 #: The grid every transport is timed on.
@@ -212,9 +211,7 @@ def run_benchmark(
     return {
         "benchmark": "dist",
         "experiments": list(EXPERIMENTS),
-        "version": __version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **bench_metadata(),
         "models": list(models),
         "shards": shards,
         "workers": workers,

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 import threading
@@ -41,7 +40,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro import __version__
+from bench_meta import bench_metadata
 from repro.serve import ExperimentService, RunRequest, ServeConfig
 from repro.workloads import list_workloads
 
@@ -163,9 +162,7 @@ def run_benchmark(
         }
     return {
         "benchmark": "serve",
-        "version": __version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **bench_metadata(),
         "model": model,
         "repeats": repeats,
         "cold_process_s": cold_s,

@@ -40,6 +40,7 @@ def test_bench_emits_report(tmp_path):
     report = json.loads(output.read_text())
     assert report["benchmark"] == "cycle_model"
     assert report["experiment"] == "fig7"
+    assert set(report) >= {"version", "git_sha", "python", "cpu_count"}
     assert report["models"] == ["alexnet"]
     entry = report["presets"]["paper-28nm"]
     assert entry["scalar_s"] > 0 and entry["vectorized_s"] > 0

@@ -7,7 +7,8 @@ adding a further ~5 points; compact models sit at the low end.
 
 from conftest import print_section
 
-from repro.eval.fig2_sparsity import format_weight_sparsity, weight_sparsity_table
+from repro.api import Experiment
+from repro.api.formatting import format_weight_sparsity
 
 PAPER_REFERENCE = """Paper (approximate, read off Fig. 2(a)):
   binary zero-bit ratio ~65-80%, CSD ~ +5pp, Ours ~ +5pp over CSD
@@ -15,7 +16,7 @@ PAPER_REFERENCE = """Paper (approximate, read off Fig. 2(a)):
 
 
 def test_fig2a_weight_sparsity(run_once):
-    rows = run_once(weight_sparsity_table)
+    rows = run_once(Experiment().run, "fig2a").rows
     print_section("Fig. 2(a) - zero-bit ratio in weights", format_weight_sparsity(rows))
     print(PAPER_REFERENCE)
 

@@ -8,7 +8,8 @@ skippable columns than smaller groups.
 
 from conftest import print_section
 
-from repro.eval.fig2_sparsity import format_input_sparsity, input_sparsity_table
+from repro.api import Experiment
+from repro.api.formatting import format_input_sparsity
 
 PAPER_REFERENCE = """Paper (approximate, read off Fig. 2(b)):
   group of 1 > group of 8 > group of 16; non-trivial skippable columns
@@ -16,7 +17,7 @@ PAPER_REFERENCE = """Paper (approximate, read off Fig. 2(b)):
 
 
 def test_fig2b_input_sparsity(run_once):
-    rows = run_once(input_sparsity_table)
+    rows = run_once(Experiment().run, "fig2b").rows
     print_section(
         "Fig. 2(b) - all-zero bit columns in input feature groups",
         format_input_sparsity(rows),

@@ -7,15 +7,16 @@ models still reach ~3.90x (MobileNetV2) and ~3.55x (EfficientNetB0).
 
 from conftest import print_section
 
-from repro.eval.fig7_speedup_energy import format_table, speedup_energy_table
+from repro.api import Experiment
+from repro.api.formatting import format_speedup_energy
 
 PAPER_REFERENCE = """Paper: AlexNet 5.20x (weight) -> 7.69x (hybrid); VGG19 4.46x -> 6.10x;
 MobileNetV2 ~3.90x, EfficientNetB0 ~3.55x (hybrid)"""
 
 
 def test_fig7a_speedup(run_once):
-    rows = run_once(speedup_energy_table)
-    print_section("Fig. 7 - speedup over the dense PIM baseline", format_table(rows))
+    rows = run_once(Experiment().run, "fig7").rows
+    print_section("Fig. 7 - speedup over the dense PIM baseline", format_speedup_energy(rows))
     print(PAPER_REFERENCE)
 
     by_model = {row.model: row for row in rows}

@@ -6,7 +6,8 @@ Paper reference: energy savings of 63.49%-83.43% (hybrid) and 60.88%-74.47%
 
 from conftest import print_section
 
-from repro.eval.fig7_speedup_energy import format_table, speedup_energy_table
+from repro.api import Experiment
+from repro.api.formatting import format_speedup_energy
 
 PAPER_REFERENCE = """Paper (hybrid): AlexNet 83.43%, VGG19 79.25%, ResNet18 76.96%,
 MobileNetV2 65.54%, EfficientNetB0 63.49%;
@@ -14,9 +15,9 @@ MobileNetV2 65.54%, EfficientNetB0 63.49%;
 
 
 def test_fig7b_energy_saving(run_once):
-    rows = run_once(speedup_energy_table)
+    rows = run_once(Experiment().run, "fig7").rows
     print_section(
-        "Fig. 7 - energy saving over the dense PIM baseline", format_table(rows)
+        "Fig. 7 - energy saving over the dense PIM baseline", format_speedup_energy(rows)
     )
     print(PAPER_REFERENCE)
 

@@ -7,12 +7,13 @@ sparsity.
 
 from conftest import print_section
 
-from repro.eval.table1_related import format_table, related_work_table
+from repro.api import Experiment
+from repro.api.formatting import format_related_work
 
 
 def test_table1_related_work(run_once):
-    rows = run_once(related_work_table)
-    print_section("Table 1 - sparsity exploitation comparison", format_table(rows))
+    rows = run_once(Experiment().run, "table1").rows
+    print_section("Table 1 - sparsity exploitation comparison", format_related_work(rows))
 
     ours = rows[-1]
     priors = rows[:-1]

@@ -11,15 +11,18 @@ baseline on every topology, which is the property Table 2 demonstrates.
 
 from conftest import print_section
 
-from repro.eval.table2_accuracy import accuracy_table, format_table
+from repro.api import Experiment
+from repro.api.formatting import format_accuracy
 
 PAPER_REFERENCE = """Paper (CIFAR-100): AlexNet -0.98%, VGG19 -0.64%, ResNet18 -0.56%,
 MobileNetV2 -0.16%, EfficientNetB0 -0.52% (all drops < 1%)"""
 
 
 def test_table2_accuracy(run_once):
-    rows = run_once(accuracy_table, epochs=6, qat_epochs=1, seed=0)
-    print_section("Table 2 - Top-1 accuracy, INT8 vs FTA", format_table(rows))
+    rows = run_once(
+        Experiment(seed=0).run, "table2", epochs=6, qat_epochs=1
+    ).rows
+    print_section("Table 2 - Top-1 accuracy, INT8 vs FTA", format_accuracy(rows))
     print(PAPER_REFERENCE)
 
     assert len(rows) == 5

@@ -8,15 +8,16 @@ energy efficiency per unit area (39.30 TOPS/W/mm^2) with a 1.15 mm^2 die.
 
 from conftest import print_section
 
-from repro.eval.table3_comparison import comparison_table, format_table
+from repro.api import Experiment
+from repro.api.formatting import format_comparison
 
 PAPER_REFERENCE = """Paper (DB-PIM column): area 1.15 mm2, SRAM 272 KB, PIM 8 KB, 4 macros,
 U_act 91.95-98.42%, 77.5 GOPS/macro, 18.14-45.20 TOPS/W, 39.30 TOPS/W/mm2"""
 
 
 def test_table3_comparison(run_once):
-    columns = run_once(comparison_table)
-    print_section("Table 3 - comparison with prior works", format_table(columns))
+    columns = run_once(Experiment().run, "table3").rows
+    print_section("Table 3 - comparison with prior works", format_comparison(columns))
     print(PAPER_REFERENCE)
 
     ours = columns[-1]

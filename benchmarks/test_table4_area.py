@@ -8,7 +8,8 @@ support ~0%.
 import pytest
 from conftest import print_section
 
-from repro.eval.table4_area import area_table, format_table
+from repro.api import Experiment
+from repro.api.formatting import format_area
 
 PAPER_REFERENCE = """Paper: baseline 1.00809 (87.32%), meta RFs 0.07829 (6.78%),
 extra post-processing 0.06259 (5.42%), DFFs/routing 0.00550 (0.48%),
@@ -16,8 +17,8 @@ input sparsity 0.00007 (~0%), total 1.15453 mm2"""
 
 
 def test_table4_area_breakdown(run_once):
-    rows = run_once(area_table)
-    print_section("Table 4 - DB-PIM area breakdown", format_table(rows))
+    rows = run_once(Experiment().run, "table4").rows
+    print_section("Table 4 - DB-PIM area breakdown", format_area(rows))
     print(PAPER_REFERENCE)
 
     by_module = {row.module: row for row in rows}

@@ -65,12 +65,11 @@ REQUIRED_SYMBOLS = (
     "repro.serve.http.ServeHTTPServer",
     "repro.sim.engines.EngineSpec",
     "repro.sim.engines.EngineOutcome",
-    "repro.sim.engines.register_engine",
-    "repro.sim.engines.unregister_engine",
-    "repro.sim.engines.temporary_engine",
+    "repro.sim.engines.ENGINE_SPECS",
+    "repro.sim.engines.ENGINES",
     "repro.sim.engines.get_engine",
     "repro.sim.engines.resolve_cycle_model_engine",
-    "repro.sim.engines.list_engines",
+    "repro.sim.cycle_model.ENGINES",
     "repro.sim.vectorized.simulate_grid",
     "repro.sim.vectorized.config_knobs",
     "repro.sim.engines.conformance.assert_conformance",
@@ -112,17 +111,14 @@ REQUIRED_SYMBOLS = (
     "repro.dist.transport.ShardTransport.complete",
     "repro.dist.transport.ShardTransport.requeue",
     "repro.dist.transport.ShardLease",
-    "repro.dist.transport.TransportSpec",
     "repro.dist.transport.TransportError",
     "repro.dist.transport.WorkerLostError",
     "repro.dist.transport.SerialTransport",
     "repro.dist.transport.ThreadTransport",
     "repro.dist.transport.ProcessTransport",
-    "repro.dist.transport.register_transport",
-    "repro.dist.transport.unregister_transport",
-    "repro.dist.transport.get_transport",
-    "repro.dist.transport.list_transports",
-    "repro.dist.transport.transport_names",
+    "repro.dist.TRANSPORTS",
+    "repro.dist.transport_names",
+    "repro.dist.transport_class",
     "repro.dist.broker.DirectoryBroker",
     "repro.dist.broker.BrokerTransport",
     "repro.dist.broker.SweepManifestError",

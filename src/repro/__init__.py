@@ -6,9 +6,8 @@ and dyadic-block sparsity pattern (``repro.core``), a numpy NN substrate for
 the accuracy experiments (``repro.nn``), functional and analytical models of
 the DB-PIM architecture (``repro.arch``), the offline compiler
 (``repro.compiler``), workload descriptors and sparsity profiles
-(``repro.workloads``), the cycle-level performance simulator (``repro.sim``)
-and the experiment drivers that regenerate every table and figure
-(``repro.eval``).
+(``repro.workloads``) and the cycle-level performance simulator
+(``repro.sim``).
 
 The canonical entry point is the :mod:`repro.api` façade: a config registry
 of named frozen presets, the :class:`~repro.api.Experiment` /
@@ -16,12 +15,12 @@ of named frozen presets, the :class:`~repro.api.Experiment` /
 stack, a typed JSON-round-trippable result schema
 (:class:`~repro.api.ExperimentResult`, :class:`~repro.api.SweepResult`), a
 sharded sweep service (:func:`~repro.api.run_sweep`: cache-state shard
-planning, process/thread/serial executor backends, on-disk result cache and
-a resumable JSONL run journal) and the ``repro`` console script.  The
-historical ``repro.eval.*`` driver functions remain as thin wrappers over
-the façade.  Future scaling work (batching, async serving, multi-backend
-dispatch) should build on :mod:`repro.api` rather than adding new bespoke
-entry points.
+planning, serial/thread/process/broker shard transports, on-disk result
+cache and a resumable JSONL run journal) and the ``repro`` console script;
+every table and figure of the paper is one ``Experiment.run`` experiment
+id.  Future scaling work (batching, async serving, multi-backend dispatch)
+should build on :mod:`repro.api` rather than adding new bespoke entry
+points.
 
 Quickstart::
 
@@ -32,7 +31,7 @@ Quickstart::
     print(result.to_json())
 """
 
-from . import api, arch, compiler, core, eval, nn, sim, workloads
+from . import api, arch, compiler, core, nn, sim, workloads
 from .api import (
     Experiment,
     ExperimentResult,
@@ -51,7 +50,6 @@ __all__ = [
     "arch",
     "compiler",
     "core",
-    "eval",
     "nn",
     "sim",
     "workloads",

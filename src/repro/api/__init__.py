@@ -15,7 +15,7 @@ experiments programmatically:
   (:class:`ExperimentResult`, :class:`SweepResult`) with lossless
   ``to_json()`` / ``from_json()`` round-trips;
 * :func:`run_sweep` -- the sharded sweep service: a :class:`ShardPlanner`
-  partitioning grids by cache state, pluggable shard transports
+  partitioning grids by cache state, four fixed shard transports
   (``thread`` / ``process`` / ``serial`` local pools plus the distributed
   ``broker`` fabric driving ``repro worker`` fleets; see
   :mod:`repro.dist`), an on-disk packed result store keyed by configuration
@@ -84,8 +84,8 @@ from .sweep import (
     run_point,
     run_shard,
     run_sweep,
-    transport_names,
 )
+from ..dist import transport_names
 
 __all__ = [
     # configs

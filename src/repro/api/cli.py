@@ -36,8 +36,9 @@ import json
 import sys
 from typing import Any, Dict, Iterable, Optional, Sequence
 
-from ..sim.cycle_model import DEFAULT_ENGINE
-from ..sim.engines import engine_names, get_engine, list_engines
+from ..dist import TRANSPORTS, transport_names
+from ..sim.cycle_model import DEFAULT_ENGINE, ENGINES
+from ..sim.engines import ENGINE_SPECS, get_engine
 from .configs import list_configs
 from .experiment import (
     EXPERIMENTS,
@@ -45,7 +46,6 @@ from .experiment import (
     get_experiment_spec,
     list_experiments,
 )
-from ..dist.transport import list_transports, transport_names
 from .formatting import format_result, format_sweep
 from .sweep import DEFAULT_TRANSPORT, run_sweep
 
@@ -115,14 +115,16 @@ def _check_configs(configs: Optional[Sequence[str]]) -> None:
 
 
 def _check_engine(engine: str, cycle_model_only: bool = False) -> None:
-    """Validate an engine name against the registry (with suggestions).
+    """Validate an engine name against the engine table (with suggestions).
 
     Args:
         engine: the requested engine name.
         cycle_model_only: restrict the candidates to cycle-model-capable
             engines (the sweep grid cannot run the trace simulator).
     """
-    candidates = engine_names(cycle_model=True if cycle_model_only else None)
+    candidates = (
+        ENGINES if cycle_model_only else [spec.name for spec in ENGINE_SPECS]
+    )
     _check_name("engine", engine, candidates)
 
 
@@ -166,11 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     run_parser.add_argument(
         "--engine", default=DEFAULT_ENGINE, metavar="ENGINE",
-        help="registered engine (see 'repro list'): vectorized NumPy batch "
+        help="engine (see 'repro list'): vectorized NumPy batch "
         "kernel or the scalar per-layer reference (identical numbers); "
         "'trace' replays the compiled whole-model program and is only "
         "valid for the 'program' experiment. Unknown names exit 2 with a "
-        "suggestion from the engine registry",
+        "suggestion from the engine table",
     )
     run_parser.add_argument(
         "--epochs", type=int, default=None,
@@ -209,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--engine", default=DEFAULT_ENGINE, metavar="ENGINE",
-        help="registered cycle-model engine for every grid point (part of "
+        help="cycle-model engine for every grid point (part of "
         "the cache key); unknown names exit 2 with a suggestion from the "
-        "engine registry",
+        "engine table",
     )
     sweep_parser.add_argument(
         "--max-workers", type=int, default=None,
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'serial' for debugging, 'broker' to coordinate 'repro worker' "
         "processes over --sweep-dir; every transport produces identical "
         "results. Unknown names exit 2 with a suggestion from the "
-        "transport registry",
+        "transport table",
     )
     sweep_parser.add_argument(
         "--sweep-dir", default=None, metavar="DIR",
@@ -386,10 +388,9 @@ def _command_list(args: argparse.Namespace) -> int:
                     "name": engine.name,
                     "title": engine.title,
                     "cycle_model": engine.cycle_model,
-                    "batch": engine.batch,
                     "trace_class": engine.trace_class,
                 }
-                for engine in list_engines()
+                for engine in ENGINE_SPECS
             ],
         }
         print(json.dumps(payload, indent=2))
@@ -408,7 +409,7 @@ def _command_list(args: argparse.Namespace) -> int:
         )
         print(f"  {entry['name']:<18} {entry['family']:<12} {structure}")
     print("engines:")
-    for engine in list_engines():
+    for engine in ENGINE_SPECS:
         kind = "cycle-model" if engine.cycle_model else "program-trace"
         print(f"  {engine.name:<12} {kind:<13} {engine.title}")
     print(f"configs:   {' '.join(list_configs())}")
@@ -459,7 +460,8 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _check_transport(name: str) -> None:
-    """Validate a transport name against the registry (with suggestions)."""
+    """Validate a transport name against the transport table (with
+    suggestions)."""
     _check_name("transport", name, transport_names())
 
 
@@ -474,10 +476,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if args.transport is not None:
         _check_transport(args.transport)
     transport = args.transport
-    if transport is not None and any(
-        spec.name == transport and spec.distributed
-        for spec in list_transports()
-    ):
+    if transport is not None and TRANSPORTS[transport].distributed:
         if args.sweep_dir is None:
             raise CLIError(
                 f"--transport {transport} is distributed and needs "

@@ -11,8 +11,8 @@ profiling, dataset synthesis and weight initialisation.
 Every paper table/figure is available twice:
 
 * as a typed-row method (``weight_sparsity()``, ``speedup_energy()``,
-  ``accuracy()``, ...) returning the same row records the historical
-  ``repro.eval.*`` drivers return, and
+  ``accuracy()``, ...) returning the typed row records of
+  :mod:`repro.api.results`, and
 * through the generic :meth:`Experiment.run` dispatcher, which wraps the
   rows into a serialisable :class:`~repro.api.results.ExperimentResult` --
   the entry point the sweep runner and the ``repro`` CLI are built on.
@@ -236,13 +236,12 @@ class Experiment:
         seed: the single RNG seed every stochastic stage derives from.
         input_group: IPU zero-detection group size used when profiling
             input activations (defaults to the configuration's group size).
-        engine: registered cycle-model engine (see
-            :mod:`repro.sim.engines`) -- ``"vectorized"`` (default, the
-            NumPy batch kernel), ``"scalar"`` (the per-layer reference) or
-            any backend registered via
-            :func:`repro.sim.engines.register_engine`; every cycle-model
-            engine is pinned bitwise-identical to the scalar reference by
-            the conformance suite.
+        engine: cycle-model engine, one of
+            :data:`repro.sim.cycle_model.ENGINES` -- ``"vectorized"``
+            (default, the NumPy batch kernel) or ``"scalar"`` (the
+            per-layer reference); the vectorized engine is pinned
+            bitwise-identical to the scalar reference by the conformance
+            suite.
     """
 
     def __init__(
@@ -264,7 +263,6 @@ class Experiment:
         self.input_group = int(input_group)
         self.cycle_model = CycleModel(self.config, engine=engine)
         self.engine = self.cycle_model.engine
-        self.engine_spec = self.cycle_model.engine_spec
         self.area_model = AreaModel()
         self._profiles: Dict[str, ModelSparsityProfile] = {}
         self._dataset: Optional[SyntheticImageDataset] = None
@@ -938,7 +936,7 @@ class Experiment:
             shards: target shard count.
             journal: path of the append-only ``sweep.jsonl`` run journal.
             resume: restore finished points from ``journal``.
-            transport: shard transport by registry name (``None`` for
+            transport: shard transport by name (``None`` for
                 :data:`repro.api.sweep.DEFAULT_TRANSPORT`; see
                 :func:`repro.api.sweep.run_sweep`).
             sweep_dir: shared coordination directory of a distributed

@@ -1,10 +1,9 @@
 """Text renderers for every table/figure (and for typed results).
 
-These are the aligned-text formatters that used to live in the individual
-``repro.eval.*`` driver modules; the eval modules keep re-exporting them
-under their historical ``format_table`` names.  :func:`format_result`
-dispatches on an :class:`~repro.api.results.ExperimentResult`'s experiment
-id, which is what the ``repro`` CLI prints.
+One aligned-text formatter per table/figure row type.
+:func:`format_result` dispatches on an
+:class:`~repro.api.results.ExperimentResult`'s experiment id, which is what
+the ``repro`` CLI prints.
 """
 
 from __future__ import annotations

@@ -3,10 +3,8 @@
 Two layers live here:
 
 * the **row records** of every paper table/figure (``WeightSparsityRow``,
-  ``AccuracyRow``, ``ComparisonColumn``, ...) -- previously scattered across
-  the ``repro.eval.*`` driver modules, now centralised so the façade, the
-  sweep runner and the CLI all speak one vocabulary.  The eval modules keep
-  re-exporting them under their historical names.
+  ``AccuracyRow``, ``ComparisonColumn``, ...), shared so the façade, the
+  sweep runner and the CLI all speak one vocabulary.
 * the **result envelopes**: :class:`ExperimentResult` (one experiment run:
   id, parameters, seed, config, typed rows) and :class:`SweepResult` (a
   grid of experiment results plus cache statistics).  Both round-trip

@@ -20,8 +20,8 @@ that fan-out into a small *service*:
   :func:`repro.sim.vectorized.simulate_jobs` shard-sized kernel, and the
   per-point results are split back out (bitwise identical to point-at-a-time
   execution -- the vectorized kernel is elementwise per layer);
-* :func:`run_sweep` dispatches the shards over a pluggable *shard
-  transport* (:mod:`repro.dist`) -- ``"process"``
+* :func:`run_sweep` dispatches the shards over one of four fixed *shard
+  transports* (:data:`repro.dist.TRANSPORTS`) -- ``"process"``
   (:class:`~concurrent.futures.ProcessPoolExecutor`, the fast path for
   cold CPU-bound sweeps: the cycle model holds the GIL in pure-Python
   mapping code, so threads serialise), ``"thread"`` (warm-cache /
@@ -79,15 +79,14 @@ from typing import (
 )
 
 from ..arch.config import DBPIMConfig
-from ..dist.locks import PidFileLock
-from ..dist.transport import (
+from ..dist import (
     DEFAULT_TRANSPORT,
+    PidFileLock,
     ShardTransport,
-    get_transport,
-    transport_names,
+    transport_class,
 )
 from ..sim.cycle_model import DEFAULT_ENGINE
-from ..sim.engines import get_engine, resolve_cycle_model_engine
+from ..sim.engines import resolve_cycle_model_engine
 from ..store import ResultStore, open_store
 from .configs import config_digest, get_config, register_config
 from .execution import SessionPool, append_results, execute_points
@@ -140,9 +139,9 @@ class SweepPoint:
         config: registered hardware preset name.
         seed: RNG seed of the point.
         params: extra experiment parameters (canonicalised to JSON types).
-        engine: registered cycle-model engine evaluating the point
-            (``"vectorized"``, ``"scalar"``, or any backend registered via
-            :func:`repro.sim.engines.register_engine`).
+        engine: cycle-model engine evaluating the point, one of
+            :data:`repro.sim.cycle_model.ENGINES` (``"vectorized"`` or
+            ``"scalar"``).
     """
 
     experiment: str
@@ -165,18 +164,16 @@ class SweepPoint:
     def cache_key(self) -> str:
         """Content hash identifying this point's result in the cache.
 
-        Covers the experiment id, canonical parameters, seed, the engine's
-        registered cache token (:attr:`repro.sim.engines.EngineSpec.cache_token`,
-        the engine name by default -- so historical keys are byte-for-byte
-        stable, pinned by ``tests/engines/test_cache_keys.py``), the full
-        configuration contents (not just the preset name), the result
-        schema version and the package version -- so renaming a preset is
-        harmless while changing its contents, switching engines, bumping an
-        engine's cache token, or upgrading to a release whose simulator
-        produces different numbers, invalidates the cached entries.  (The
-        engines are pinned numerically identical, but keying them
-        separately keeps the cache trustworthy even while one of them is
-        being modified.)
+        Covers the experiment id, canonical parameters, seed, the engine
+        name (keys are byte-for-byte stable, pinned by
+        ``tests/engines/test_cache_keys.py``), the full configuration
+        contents (not just the preset name), the result schema version and
+        the package version -- so renaming a preset is harmless while
+        changing its contents, switching engines, or upgrading to a
+        release whose simulator produces different numbers, invalidates
+        the cached entries.  (The engines are pinned numerically
+        identical, but keying them separately keeps the cache trustworthy
+        even while one of them is being modified.)
 
         The key is memoized on the instance after the first call (the
         point is frozen, so it can never change): the planner, cache path
@@ -194,7 +191,7 @@ class SweepPoint:
                 "experiment": self.experiment,
                 "params": self.params,
                 "seed": self.seed,
-                "engine": get_engine(self.engine).cache_token,
+                "engine": self.engine,
                 "config_digest": config_digest(get_config(self.config)),
             }
             canonical = json.dumps(
@@ -310,12 +307,11 @@ def cache_keys_for_grid(points: Sequence[SweepPoint]) -> Tuple[str, ...]:
     Byte-identical to calling ``point.cache_key()`` per point (pinned by
     the goldens in ``tests/engines/test_cache_keys.py``), but the shared
     payload pieces are canonicalised **once per distinct value** instead of
-    once per point: the engine cache token, the experiment id and -- the
-    expensive one -- the full configuration digest
-    (:func:`repro.api.configs.config_digest` serialises the entire nested
-    configuration) are each JSON-encoded once per (engine, experiment,
-    config) seen in the grid, and the canonical payload is assembled by
-    string splicing in the exact key order ``json.dumps(...,
+    once per point: the experiment id and -- the expensive one -- the full
+    configuration digest (:func:`repro.api.configs.config_digest`
+    serialises the entire nested configuration) are each JSON-encoded once
+    per (experiment, config) seen in the grid, and the canonical payload is
+    assembled by string splicing in the exact key order ``json.dumps(...,
     sort_keys=True)`` would produce.  Each computed key is memoized on its
     (frozen) point, so later ``point.cache_key()`` calls are lookups.
     """
@@ -328,7 +324,6 @@ def cache_keys_for_grid(points: Sequence[SweepPoint]) -> Tuple[str, ...]:
     # byte stream exactly; scalar/string fragments need no separators.
     schema_seed = ',"schema_version":' + dumps(SCHEMA_VERSION) + ',"seed":'
     version_tail = ',"version":' + dumps(__version__) + "}"
-    engine_memo: Dict[str, str] = {}
     config_memo: Dict[str, str] = {}
     experiment_memo: Dict[str, str] = {}
     keys: List[str] = []
@@ -337,10 +332,6 @@ def cache_keys_for_grid(points: Sequence[SweepPoint]) -> Tuple[str, ...]:
         if memo is not None:
             keys.append(memo)
             continue
-        engine_json = engine_memo.get(point.engine)
-        if engine_json is None:
-            engine_json = dumps(get_engine(point.engine).cache_token)
-            engine_memo[point.engine] = engine_json
         digest_json = config_memo.get(point.config)
         if digest_json is None:
             digest_json = dumps(config_digest(get_config(point.config)))
@@ -353,7 +344,7 @@ def cache_keys_for_grid(points: Sequence[SweepPoint]) -> Tuple[str, ...]:
             '{"config_digest":'
             + digest_json
             + ',"engine":'
-            + engine_json
+            + dumps(point.engine)
             + ',"experiment":'
             + experiment_json
             + ',"params":'
@@ -961,17 +952,19 @@ def _create_transport(
 
     Raises:
         ValueError: unknown transport name (the message lists the
-            registered names), or options the transport rejects (e.g.
+            transport names), or options the transport rejects (e.g.
             ``sweep_dir=`` with a local transport).
     """
-    try:
-        spec = get_transport(transport_name)
-    except KeyError as error:
-        raise ValueError(str(error.args[0])) from None
+    cls = transport_class(transport_name)
     options: Dict[str, Any] = dict(transport_options or {})
     if sweep_dir is not None:
         options.setdefault("sweep_dir", sweep_dir)
-    return spec.create(**options)
+    try:
+        return cls(**options)
+    except TypeError as error:
+        raise ValueError(
+            f"invalid options for transport {transport_name!r}: {error}"
+        ) from error
 
 
 def run_sweep(
@@ -1030,8 +1023,8 @@ def run_sweep(
             a point the killed run cached but did not journal legitimately
             counts as a hit on resume.)
         cache_backend: must be ``"packed"``, the only layout.
-        transport: shard transport executing the sweep, by registry name
-            (see :func:`repro.dist.transport.register_transport`):
+        transport: shard transport executing the sweep, by name (one of
+            :data:`repro.dist.TRANSPORTS`):
             ``"thread"`` (default; warm-cache / I/O-bound re-runs),
             ``"process"`` (:class:`~concurrent.futures.ProcessPoolExecutor`;
             the fast path for cold CPU-bound grids -- the mapping
@@ -1043,7 +1036,7 @@ def run_sweep(
         sweep_dir: shared coordination directory of a distributed
             transport (workers attach with ``repro worker <sweep_dir>``).
         transport_options: extra keyword arguments for the transport
-            factory (e.g. the broker's ``lease_ttl_s`` / ``poll_s`` /
+            class (e.g. the broker's ``lease_ttl_s`` / ``poll_s`` /
             ``max_attempts`` / ``coordinator_executes``).
 
     Returns:

@@ -12,9 +12,9 @@ layer behind it:
 * :mod:`repro.dist.transport` -- the :class:`ShardTransport` protocol
   (``lease`` / ``heartbeat`` / ``complete`` / ``requeue`` lifecycle,
   per-shard attempt counts, a typed :class:`WorkerLostError` when the
-  retry budget runs out) plus the transport registry and the three local
-  adapters (``serial`` / ``thread`` / ``process``) that re-implement the
-  historical executor backends byte-identically;
+  retry budget runs out) plus the three local adapters (``serial`` /
+  ``thread`` / ``process``) that re-implement the historical executor
+  backends byte-identically;
 * :mod:`repro.dist.broker` -- the first distributed transport: a
   :class:`DirectoryBroker` coordinating stateless workers over a shared
   sweep directory (pickled shard task files, PID+heartbeat-stamped lease
@@ -29,7 +29,12 @@ A worker SIGKILLed mid-shard is recovered by lease expiry -> requeue
 (bounded by ``max_attempts``), and an N-worker sweep reproduces the serial
 transport's :class:`~repro.api.results.SweepResult` byte-for-byte -- see
 ``docs/distributed.md``.
+
+All four transports sit in one fixed table, :data:`TRANSPORTS`; adding a
+transport means adding its class there.
 """
+
+from typing import Dict, Tuple, Type
 
 from .locks import PidFileLock, PidFileLockError, pid_alive
 from .transport import (
@@ -43,14 +48,43 @@ from .transport import (
     ThreadTransport,
     TransportError,
     WorkerLostError,
-    get_transport,
-    list_transports,
-    register_transport,
-    transport_names,
-    unregister_transport,
 )
 from .broker import BrokerTransport, DirectoryBroker, SweepManifestError
 from .worker import WorkerConfig, run_worker
+
+#: Every shard transport, keyed by its ``name`` (the ``transport=`` /
+#: ``--transport`` value).
+TRANSPORTS: Dict[str, Type[ShardTransport]] = {
+    cls.name: cls
+    for cls in (
+        SerialTransport,
+        ThreadTransport,
+        ProcessTransport,
+        BrokerTransport,
+    )
+}
+
+
+def transport_names() -> Tuple[str, ...]:
+    """The transport names, sorted."""
+    return tuple(sorted(TRANSPORTS))
+
+
+def transport_class(name: str) -> Type[ShardTransport]:
+    """Look a transport class up by name.
+
+    Raises:
+        ValueError: unknown name; the message lists the transport names
+            (the CLI adds difflib suggestions on top).
+    """
+    cls = TRANSPORTS.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(
+            f"unknown transport {name!r}; registered transports: "
+            f"{list(transport_names())}"
+        )
+    return cls
+
 
 __all__ = [
     "PidFileLock",
@@ -66,11 +100,9 @@ __all__ = [
     "ProcessTransport",
     "TransportError",
     "WorkerLostError",
-    "get_transport",
-    "list_transports",
-    "register_transport",
+    "TRANSPORTS",
     "transport_names",
-    "unregister_transport",
+    "transport_class",
     "BrokerTransport",
     "DirectoryBroker",
     "SweepManifestError",

@@ -61,8 +61,6 @@ from .transport import (
     ShardFinisher,
     ShardTransport,
     TransportError,
-    TransportSpec,
-    register_transport,
 )
 
 __all__ = [
@@ -586,6 +584,7 @@ class BrokerTransport(ShardTransport):
     """
 
     name = "broker"
+    distributed = True
 
     def __init__(
         self,
@@ -830,16 +829,3 @@ class BrokerTransport(ShardTransport):
                 finish(shard, outcomes)
             return True
         return False
-
-
-register_transport(
-    TransportSpec(
-        name="broker",
-        title=(
-            "shared-directory broker: lease-and-requeue fabric for "
-            "'repro worker' fleets"
-        ),
-        factory=BrokerTransport,
-        distributed=True,
-    )
-)

@@ -32,10 +32,9 @@ decision, completion ordering and cancel-on-failure semantics of the old
 directory broker + ``repro worker`` protocol) lives in
 :mod:`repro.dist.broker`.
 
-Transports are looked up through a registry mirroring the engine registry
-(:mod:`repro.sim.engines`): :func:`register_transport` a
-:class:`TransportSpec`, and ``run_sweep(transport=...)`` and the CLI
-(including its "did you mean" suggestions) pick it up automatically.
+The four transports sit in one fixed table, :data:`repro.dist.TRANSPORTS`,
+keyed by each class's :attr:`ShardTransport.name`; ``run_sweep(transport=
+...)`` and the CLI (including its "did you mean" suggestions) read it.
 """
 
 from __future__ import annotations
@@ -65,17 +64,11 @@ __all__ = [
     "ShardOutcomes",
     "TransportError",
     "WorkerLostError",
-    "TransportSpec",
     "ShardTransport",
     "LocalTransport",
     "SerialTransport",
     "ThreadTransport",
     "ProcessTransport",
-    "register_transport",
-    "unregister_transport",
-    "get_transport",
-    "list_transports",
-    "transport_names",
 ]
 
 #: Transport used when none is requested: the conservative in-process
@@ -167,8 +160,12 @@ class ShardTransport:
             :meth:`requeue` instead of requeueing.
     """
 
-    #: Registry name (subclasses override).
+    #: Table key: the ``transport=`` / ``--transport`` value (subclasses
+    #: override).
     name = "abstract"
+
+    #: Whether shards execute outside the coordinator process.
+    distributed = False
 
     def __init__(self, max_attempts: int = 3) -> None:
         if max_attempts <= 0:
@@ -367,115 +364,3 @@ class ProcessTransport(_PoolTransport):
     name = "process"
     pool_type = ProcessPoolExecutor
     inline_single_worker = False
-
-
-# ---------------------------------------------------------------------------
-# Registry (mirrors repro.sim.engines)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TransportSpec:
-    """One registered transport backend.
-
-    Attributes:
-        name: registry key (the ``transport=`` / ``--transport`` value).
-        title: one-line human description (CLI listings, docs).
-        factory: builds a fresh :class:`ShardTransport` per sweep; called
-            with the transport options ``run_sweep`` collected (e.g. the
-            broker's ``sweep_dir`` / ``lease_ttl_s``).
-        distributed: shards execute outside the coordinator process.
-    """
-
-    name: str
-    title: str
-    factory: Callable[..., ShardTransport]
-    distributed: bool = False
-
-    def create(self, **options: Any) -> ShardTransport:
-        """Build a transport instance, naming the transport on bad knobs.
-
-        Raises:
-            ValueError: the factory rejected ``options`` (unknown or
-                invalid knob for this transport).
-        """
-        try:
-            return self.factory(**options)
-        except TypeError as error:
-            raise ValueError(
-                f"invalid options for transport {self.name!r}: {error}"
-            ) from error
-
-
-_REGISTRY: Dict[str, TransportSpec] = {}
-
-
-def register_transport(spec: TransportSpec, replace: bool = False) -> TransportSpec:
-    """Register a transport backend.
-
-    Args:
-        spec: the transport descriptor.
-        replace: allow overwriting an existing registration.
-
-    Raises:
-        ValueError: the name is taken and ``replace`` is False.
-    """
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(
-            f"transport {spec.name!r} is already registered; pass "
-            "replace=True to overwrite"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister_transport(name: str) -> None:
-    """Remove a registered transport (missing names are ignored)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_transport(name: str) -> TransportSpec:
-    """Look a transport up by name.
-
-    Raises:
-        KeyError: unknown transport; the message lists the registered
-            names (the CLI adds difflib suggestions on top).
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown transport {name!r}; registered transports: "
-            f"{sorted(_REGISTRY)}"
-        ) from None
-
-
-def list_transports() -> List[TransportSpec]:
-    """Every registered transport, sorted by name."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-def transport_names() -> Tuple[str, ...]:
-    """The registered transport names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_transport(
-    TransportSpec(
-        name="serial",
-        title="in-process, one shard at a time (debugging reference)",
-        factory=SerialTransport,
-    )
-)
-register_transport(
-    TransportSpec(
-        name="thread",
-        title="in-process thread pool (warm-cache / I/O-bound re-runs)",
-        factory=ThreadTransport,
-    )
-)
-register_transport(
-    TransportSpec(
-        name="process",
-        title="process pool (cold CPU-bound grids; bypasses the GIL)",
-        factory=ProcessTransport,
-    )
-)

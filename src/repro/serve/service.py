@@ -56,6 +56,7 @@ from ..api.execution import SessionPool, execute_points, merge_key
 from ..api.experiment import get_experiment_spec
 from ..api.results import ExperimentResult, SweepResult, _jsonify
 from ..api.sweep import SweepPoint, run_sweep
+from ..dist import transport_class
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import resolve_cycle_model_engine
 from ..store import open_store
@@ -179,9 +180,9 @@ class RunRequest:
             (``None`` expands to every registered workload at validation).
         config: registered hardware preset name.
         seed: RNG seed of the run.
-        engine: registered cycle-model engine (``"vectorized"``,
-            ``"scalar"``, or any backend registered via
-            :func:`repro.sim.engines.register_engine`).
+        engine: cycle-model engine, one of
+            :data:`repro.sim.cycle_model.ENGINES` (``"vectorized"`` or
+            ``"scalar"``).
         params: extra experiment parameters (e.g. ``group_sizes``).
         timeout_s: per-request deadline override (``None`` uses the
             service default).
@@ -328,6 +329,52 @@ class _Pending:
 
 
 _SHUTDOWN = object()  # queue sentinel terminating the dispatch thread
+
+
+def _validate_sweep_names(kwargs: Mapping[str, Any]) -> None:
+    """Check the named fields of a sweep request before it is submitted.
+
+    A client's unknown or mistyped experiment id, config preset, workload,
+    engine or transport is a :class:`RequestValidationError` (HTTP 400),
+    not a sweep failure: ``experiments`` / ``configs`` / ``models`` must be
+    lists of strings and ``engine`` / ``transport`` strings, each naming an
+    entry of its table (``null`` keeps the default where there is one).
+
+    Raises:
+        RequestValidationError: naming the offending field or value.
+    """
+    from ..api.configs import get_config
+    from ..workloads.models import get_workload
+
+    fields = (
+        # (field, lookup, error the lookup raises, list-valued, nullable)
+        ("experiments", get_experiment_spec, KeyError, True, True),
+        ("configs", get_config, KeyError, True, False),
+        ("models", get_workload, KeyError, True, True),
+        ("engine", resolve_cycle_model_engine, ValueError, False, False),
+        ("transport", transport_class, ValueError, False, True),
+    )
+    for name, lookup, errors, many, nullable in fields:
+        if name not in kwargs or (nullable and kwargs[name] is None):
+            continue
+        value = kwargs[name]
+        values = value if many else [value]
+        if not isinstance(values, (list, tuple)) or not all(
+            isinstance(item, str) for item in values
+        ):
+            kind = "a list of strings" if many else "a string"
+            raise RequestValidationError(
+                f"sweep field {name!r} must be {kind}"
+            )
+        if name == "models" and not values:
+            raise RequestValidationError(
+                "empty model list; omit 'models' to sweep every workload"
+            )
+        for item in values:
+            try:
+                lookup(item)
+            except errors as error:
+                raise RequestValidationError(str(error.args[0])) from None
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +593,9 @@ class ExperimentService:
 
         Raises:
             ServiceClosedError: the service is stopping or stopped.
-            RequestValidationError: unknown sweep parameter name.
+            RequestValidationError: unknown sweep parameter name, or an
+                unknown or mistyped experiment, config, model, engine or
+                transport (see :func:`_validate_sweep_names`).
         """
         if not self._started or self._closing:
             raise ServiceClosedError("service is not accepting requests")
@@ -562,6 +611,7 @@ class ExperimentService:
                 f"unknown sweep parameters {sorted(unknown)}; "
                 f"allowed: {sorted(allowed)}"
             )
+        _validate_sweep_names(kwargs)
         with self._lock:
             if self._closing:
                 raise ServiceClosedError("service is not accepting requests")

@@ -1,7 +1,7 @@
 """Cycle-level performance simulation and system metrics.
 
-Three execution styles back the simulator, all registered as first-class
-engines in the registry of :mod:`repro.sim.engines`:
+Three execution styles back the simulator, one entry each in the fixed
+engine table of :mod:`repro.sim.engines` (:data:`ENGINE_SPECS`):
 
 * the analytical cycle model with its two interchangeable engines -- the
   NumPy-vectorized batch kernel (:mod:`repro.sim.vectorized`, the default)
@@ -12,23 +12,18 @@ engines in the registry of :mod:`repro.sim.engines`:
   and is cross-checked against the analytical model within
   :data:`~repro.sim.trace.TRACE_TOLERANCE`.
 
-New backends call :func:`~repro.sim.engines.register_engine` and are
-automatically held to the cross-engine conformance contract
+Adding an engine means adding one :class:`EngineSpec` to
+:data:`ENGINE_SPECS`; the cross-engine conformance suite
 (:mod:`repro.sim.engines.conformance`, ``tests/engines/``,
-``docs/testing.md``).
+``docs/testing.md``) then holds it to the contract.
 """
 
 from .engines import (
+    ENGINE_SPECS,
     EngineOutcome,
     EngineSpec,
-    cycle_model_engines,
-    engine_names,
     get_engine,
-    list_engines,
-    register_engine,
     resolve_cycle_model_engine,
-    temporary_engine,
-    unregister_engine,
 )
 from .cycle_model import (
     DEFAULT_ENGINE,
@@ -65,16 +60,11 @@ __all__ = [
     "SPARSITY_VARIANTS",
     "ENGINES",
     "DEFAULT_ENGINE",
+    "ENGINE_SPECS",
     "EngineSpec",
     "EngineOutcome",
-    "register_engine",
-    "unregister_engine",
-    "temporary_engine",
     "get_engine",
     "resolve_cycle_model_engine",
-    "list_engines",
-    "engine_names",
-    "cycle_model_engines",
     "CycleModel",
     "LayerPerformance",
     "ModelPerformance",

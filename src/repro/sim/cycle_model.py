@@ -11,8 +11,8 @@ of the four configurations compared in Fig. 7:
 * ``weight sparsity`` -- dyadic-block mapping, no input skipping,
 * ``hybrid sparsity`` -- both (the full DB-PIM).
 
-Interchangeable engines back the model, resolved through the engine
-registry of :mod:`repro.sim.engines` (see :data:`ENGINES`,
+Two interchangeable engines back the model, named in the fixed engine
+table of :mod:`repro.sim.engines` (see :data:`ENGINES`,
 ``docs/performance.md`` and ``docs/testing.md``):
 
 * ``"vectorized"`` (default) -- the NumPy batch kernel of
@@ -20,9 +20,8 @@ registry of :mod:`repro.sim.engines` (see :data:`ENGINES`,
   of (model, variant, config) jobs via :meth:`CycleModel.run_batch` -- as
   array operations;
 * ``"scalar"`` -- the original per-layer reference implementation, kept
-  selectable for auditing; every other registered cycle-model engine is
-  pinned bitwise-equal to it by the auto-applied conformance suite in
-  ``tests/engines/``.
+  selectable for auditing; the vectorized engine is pinned bitwise-equal
+  to it by the conformance suite in ``tests/engines/``.
 """
 
 from __future__ import annotations
@@ -37,11 +36,7 @@ from ..arch.energy import EnergyBreakdown, EnergyModel
 from ..compiler.mapping import map_layer
 from ..workloads.layers import LayerShape
 from ..workloads.profiles import LayerSparsityProfile, ModelSparsityProfile
-from .engines import (
-    EngineSpec,
-    cycle_model_engines,
-    resolve_cycle_model_engine,
-)
+from .engines import ENGINES, resolve_cycle_model_engine
 from .vectorized import (
     BatchActivity,
     ProfileArrays,
@@ -56,12 +51,6 @@ __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
 ]
-
-#: The cycle-model-capable engines registered at import time, in
-#: registration order.  Kept as a module constant for backwards
-#: compatibility; the engine registry (:mod:`repro.sim.engines`) is the
-#: live source of truth and also covers engines registered later.
-ENGINES = cycle_model_engines()
 
 #: Engine used when none is requested: the NumPy batch kernel.
 DEFAULT_ENGINE = "vectorized"
@@ -161,17 +150,16 @@ class CycleModel:
     energy_model : EnergyModel, optional
         Activity-to-energy pricing (shared component library default).
     engine : str, optional
-        Name of a registered cycle-model engine (see
-        :mod:`repro.sim.engines`): ``"vectorized"`` (default) for the NumPy
+        One of :data:`ENGINES`: ``"vectorized"`` (default) for the NumPy
         batch kernel or ``"scalar"`` for the per-layer reference
-        implementation; all cycle-model engines produce bitwise-identical
-        results (pinned by the conformance suite in ``tests/engines/``).
+        implementation; both produce bitwise-identical results (pinned by
+        the conformance suite in ``tests/engines/``).
 
     Raises
     ------
     ValueError
-        For an unregistered engine name (listing the registered engines
-        sorted), or a registered engine that is not cycle-model-capable.
+        For an unknown engine name (listing the engines sorted), or an
+        engine that is not cycle-model-capable.
     """
 
     def __init__(
@@ -180,10 +168,9 @@ class CycleModel:
         energy_model: Optional[EnergyModel] = None,
         engine: str = DEFAULT_ENGINE,
     ) -> None:
-        self.engine_spec: EngineSpec = resolve_cycle_model_engine(engine)
+        self.engine = resolve_cycle_model_engine(engine).name
         self.config = config or DBPIMConfig()
         self.energy_model = energy_model or EnergyModel()
-        self.engine = self.engine_spec.name
 
     # ------------------------------------------------------------------
     # Configuration variants
@@ -287,8 +274,8 @@ class CycleModel:
     ) -> ModelPerformance:
         """Latency/energy of a whole workload under one configuration.
 
-        Dispatches to the engine selected at construction; every
-        registered cycle-model engine returns identical numbers.
+        Dispatches to the engine selected at construction; both
+        cycle-model engines return identical numbers.
 
         Parameters
         ----------
@@ -302,7 +289,7 @@ class CycleModel:
         ModelPerformance
             Per-layer and aggregate performance of the workload.
         """
-        if not self.engine_spec.batch:
+        if self.engine == "scalar":
             return self._run_model_scalar(profile, variant)
         return self.run_batch([(profile, variant)])[0]
 
@@ -343,7 +330,7 @@ class CycleModel:
         dict of str to ModelPerformance
             One entry per :data:`SPARSITY_VARIANTS` name.
         """
-        if not self.engine_spec.batch:
+        if self.engine == "scalar":
             return {
                 variant: self._run_model_scalar(profile, variant)
                 for variant in SPARSITY_VARIANTS
@@ -363,14 +350,12 @@ class CycleModel:
     ) -> List[ModelPerformance]:
         """Evaluate many (profile, variant) jobs in one vectorized pass.
 
-        Dispatches through the engine's registered
-        :attr:`~repro.sim.engines.EngineSpec.run_jobs` hook.  With the
-        vectorized engine each run of jobs sharing one profile is evaluated
-        by :func:`repro.sim.vectorized.simulate_grid` as one ``(config,
-        layer)`` array pass, so an entire design-space axis (variants,
-        macro counts, ...) is simulated by one NumPy expression instead of
-        nested Python loops.  With the scalar engine
-        the jobs fall back to a per-job reference loop.
+        With the vectorized engine every job's layers are evaluated by
+        :func:`repro.sim.vectorized.simulate_jobs` in one array pass, so an
+        entire design-space axis (variants, macro counts, ...) is
+        simulated by one NumPy expression instead of nested Python loops.
+        With the scalar engine the jobs run through the per-layer
+        reference loop, one job at a time.
 
         Parameters
         ----------
@@ -400,13 +385,27 @@ class CycleModel:
                 raise ValueError(
                     f"got {len(jobs)} jobs but {len(config_list)} configs"
                 )
+        if not jobs:
+            return []
+        if self.engine == "scalar":
+            # The scalar path applies each job's variant itself.
+            return [
+                self._run_model_scalar(profile, variant, base_config=config)
+                for (profile, variant), config in zip(jobs, config_list)
+            ]
         variant_configs = [
             self.variant_config_of(config, variant)
             for (_, variant), config in zip(jobs, config_list)
         ]
-        return self.engine_spec.run_jobs(
-            self, jobs, config_list, variant_configs
+        # Resolved per call, so a probe patched onto the module attribute
+        # (perfbench's tracer) sees every batch.
+        from .vectorized import simulate_jobs
+
+        job_arrays = [self._arrays_for(profile) for profile, _ in jobs]
+        activity = simulate_jobs(
+            job_arrays, variant_configs, self.energy_model
         )
+        return self._materialize_jobs(jobs, job_arrays, activity)
 
     def _arrays_for(self, profile: ModelSparsityProfile) -> ProfileArrays:
         """Memoised :class:`ProfileArrays` of one live profile object.

@@ -1,9 +1,10 @@
 """Cross-engine conformance harness: one contract, every engine.
 
-The library half of the auto-applied equivalence suite in
-``tests/engines/``: evaluate any registered engine on any profiled workload
-and diff its :class:`~repro.sim.engines.EngineOutcome` against the scalar
-reference.  The contract, per (engine, workload, preset, variant) case:
+The library half of the equivalence suite in ``tests/engines/``: evaluate
+any engine of :data:`~repro.sim.engines.ENGINE_SPECS` (or any
+:class:`~repro.sim.engines.EngineSpec`) on any profiled workload and diff
+its :class:`~repro.sim.engines.EngineOutcome` against the scalar reference.
+The contract, per (engine, workload, preset, variant) case:
 
 * **analytical engines** (``trace_class=False``) must be *bitwise* equal to
   the scalar reference -- every per-layer cycle count, activity counter and
@@ -13,17 +14,17 @@ reference.  The contract, per (engine, workload, preset, variant) case:
   :data:`~repro.sim.trace.TRACE_TOLERANCE` (the Q16.16 quantisation bound
   of the broadcast operand).
 
-Because the suite parametrizes over :func:`~repro.sim.engines.list_engines`
-and this module reads each spec's capabilities (``trace_class``,
-``variants``), registering a new engine is all it takes to put it under the
-contract -- no new test code.  ``docs/testing.md`` walks through authoring
-and registering a backend.
+Because the suite parametrizes over :data:`~repro.sim.engines.ENGINE_SPECS`
+and this module reads each spec's ``trace_class`` flag, adding an engine
+to that table is all it takes to put it under the contract -- no new test
+code.  ``docs/testing.md`` walks through adding an engine.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Union
 
+from ...arch.config import SPARSITY_VARIANTS
 from . import EngineOutcome, EngineSpec, get_engine
 
 __all__ = [
@@ -109,7 +110,7 @@ def conformance_mismatches(
             (:class:`~repro.workloads.profiles.ModelSparsityProfile`).
         config: the hardware configuration
             (:class:`~repro.arch.config.DBPIMConfig`).
-        variant: one of the engine's supported sparsity variants.
+        variant: one of :data:`~repro.arch.config.SPARSITY_VARIANTS`.
         reference: a precomputed reference outcome (recomputed when
             omitted; pass it when sweeping many engines over one case).
 
@@ -118,11 +119,6 @@ def conformance_mismatches(
         conforms.
     """
     spec = _spec(engine)
-    if variant not in spec.variants:
-        raise ValueError(
-            f"engine {spec.name!r} does not support variant {variant!r} "
-            f"(supported: {list(spec.variants)})"
-        )
     if reference is None:
         reference = reference_outcome(profile, config, variant)
     outcome = spec.evaluate(profile, config, variant)
@@ -196,8 +192,8 @@ def verify_engine(
         engine: the engine under test (name or spec).
         profiles: profiled workloads to cover.
         configs: hardware configurations to cover.
-        variants: sparsity variants (default: every variant the engine
-            supports).
+        variants: sparsity variants (default: every one of
+            :data:`~repro.arch.config.SPARSITY_VARIANTS`).
 
     Returns:
         The number of cases checked (for "the matrix was not empty"
@@ -209,7 +205,7 @@ def verify_engine(
     spec = _spec(engine)
     checked = 0
     profile_list = list(profiles)
-    variant_list = tuple(variants) if variants is not None else spec.variants
+    variant_list = SPARSITY_VARIANTS if variants is None else tuple(variants)
     for config in configs:
         for profile in profile_list:
             for variant in variant_list:

@@ -31,8 +31,9 @@ matmul, output projection, optional residual add), mirroring
 ``transformer_tiny``.
 
 The conformance suite feeds :func:`fuzz_corpus` workloads through every
-registered engine; CI runs a pinned-seed smoke subset on every push and the
-full corpus behind the ``fuzz`` pytest marker (see ``docs/testing.md``).
+engine of :data:`repro.sim.engines.ENGINE_SPECS`; CI runs a pinned-seed
+smoke subset on every push and the full corpus behind the ``fuzz`` pytest
+marker (see ``docs/testing.md``).
 """
 
 from __future__ import annotations

@@ -49,27 +49,27 @@ class TestList:
         assert engines["trace"]["cycle_model"] is False
         assert engines["trace"]["trace_class"] is True
 
-    def test_json_engine_entries_are_the_registry(self, capsys):
-        from repro.sim.engines import engine_names
+    def test_json_engine_entries_are_the_table(self, capsys):
+        from repro.sim.engines import ENGINE_SPECS
 
         assert main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert [entry["name"] for entry in payload["engines"]] == list(
-            engine_names()
-        )
+        assert [entry["name"] for entry in payload["engines"]] == [
+            spec.name for spec in ENGINE_SPECS
+        ]
         for entry in payload["engines"]:
             assert set(entry) == {
-                "name", "title", "cycle_model", "batch", "trace_class",
+                "name", "title", "cycle_model", "trace_class",
             }
 
-    def test_engine_rows_are_registered_engines_only(self, capsys):
-        from repro.sim.engines import engine_names
+    def test_engine_rows_are_the_table(self, capsys):
+        from repro.sim.engines import ENGINE_SPECS
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         rows = out.split("engines:\n", 1)[1].split("configs:", 1)[0]
         names = [line.split()[0] for line in rows.splitlines() if line]
-        assert names == list(engine_names())
+        assert names == [spec.name for spec in ENGINE_SPECS]
         assert "unavailable" not in out
 
 
@@ -203,6 +203,19 @@ class TestSweep:
         assert main(["sweep", "--experiments", "table4",
                      "--engine", "scaler"]) == 2
         assert "did you mean: scalar" in capsys.readouterr().err
+
+    def test_distributed_transport_needs_sweep_dir(self, capsys):
+        assert main(["sweep", "--experiments", "table4",
+                     "--transport", "broker"]) == 2
+        assert "needs --sweep-dir" in capsys.readouterr().err
+
+    def test_sweep_dir_needs_distributed_transport(self, capsys, tmp_path):
+        assert main(["sweep", "--experiments", "table4",
+                     "--transport", "serial",
+                     "--sweep-dir", str(tmp_path / "sweep")]) == 2
+        assert "only applies to a distributed transport" in (
+            capsys.readouterr().err
+        )
 
     def test_sweep_prints_sections(self, capsys):
         assert main(["sweep", "--experiments", "table4"]) == 0

@@ -1,11 +1,10 @@
-"""Tests for the Experiment façade: error paths, dispatch, and the
-side-by-side regression against the historical driver functions."""
+"""Tests for the Experiment façade: error paths, dispatch, sessions and
+the result schema."""
 
 import pytest
 
 from repro.api import Experiment, Session, get_experiment_spec, list_experiments
 from repro.api.results import ExperimentResult
-from repro.arch.config import DBPIMConfig
 from repro.sim.cycle_model import LayerPerformance, ModelPerformance
 
 
@@ -108,67 +107,8 @@ class TestUniformEntryPoints:
         with pytest.raises(ValueError, match="input_group"):
             Experiment(input_group=0)
 
-    def test_empty_accuracy_table_wrapper_keeps_legacy_behaviour(self):
-        from repro.eval.table2_accuracy import accuracy_table
 
-        assert accuracy_table(models=()) == []
-
-
-class TestFacadeMatchesLegacyDrivers:
-    """Old wrapper and new façade must produce numerically identical rows."""
-
-    def test_fig2a(self):
-        from repro.eval.fig2_sparsity import weight_sparsity_table
-
-        old = weight_sparsity_table(models=("alexnet",), seed=0)
-        new = Experiment(seed=0).run("fig2a", models=["alexnet"])
-        assert list(new.rows) == old
-
-    def test_fig2b(self):
-        from repro.eval.fig2_sparsity import input_sparsity_table
-
-        old = input_sparsity_table(models=("alexnet",), seed=0)
-        new = Experiment(seed=0).run("fig2b", models=["alexnet"])
-        assert list(new.rows) == old
-
-    def test_fig7(self):
-        from repro.eval.fig7_speedup_energy import speedup_energy_table
-
-        old = speedup_energy_table(models=("alexnet",), seed=0)
-        new = Experiment(seed=0).run("fig7", models=["alexnet"])
-        assert list(new.rows) == old
-
-    def test_table1(self):
-        from repro.eval.table1_related import related_work_table
-
-        old = related_work_table()
-        new = Experiment().run("table1")
-        assert list(new.rows) == old
-        old_weight_only = related_work_table(DBPIMConfig().weight_sparsity_only())
-        new_weight_only = Experiment(config="weight-sparsity-only").run("table1")
-        assert list(new_weight_only.rows) == old_weight_only
-
-    def test_table2(self):
-        from repro.eval.table2_accuracy import evaluate_model_accuracy
-
-        old = evaluate_model_accuracy("alexnet", epochs=2, qat_epochs=0, seed=0)
-        new = Experiment(seed=0).run("table2", models=["alexnet"], epochs=2, qat_epochs=0)
-        assert list(new.rows) == [old]
-
-    def test_table3(self):
-        from repro.eval.table3_comparison import comparison_table
-
-        old = comparison_table(models=("alexnet",), seed=0)
-        new = Experiment(seed=0).run("table3", models=["alexnet"])
-        assert list(new.rows) == old
-
-    def test_table4(self):
-        from repro.eval.table4_area import area_table
-
-        old = area_table()
-        new = Experiment().run("table4")
-        assert list(new.rows) == old
-
+class TestResultSchema:
     def test_results_round_trip_through_json(self):
         result = Experiment(seed=0).run("fig7", models=["alexnet"])
         assert ExperimentResult.from_json(result.to_json()) == result

@@ -1,26 +1,22 @@
-"""Tests for the :class:`ShardTransport` protocol, its registry, and the
-``transport=`` knob of :func:`repro.api.run_sweep`.
+"""Tests for the :class:`ShardTransport` protocol, the fixed transport
+table, and the ``transport=`` knob of :func:`repro.api.run_sweep`.
 
 ``stats.executor`` must keep carrying the transport name the field always
-carried, and a custom registered transport must serialise to exactly the
-same JSON as the serial one.
+carried.
 """
 
 import pytest
 
 from repro.api import run_sweep
-from repro.api.sweep import DEFAULT_TRANSPORT, SweepShard
-from repro.dist.transport import (
-    SerialTransport,
+from repro.api.sweep import DEFAULT_TRANSPORT, SweepShard, _create_transport
+from repro.dist import (
+    TRANSPORTS,
+    BrokerTransport,
     ShardTransport,
     ThreadTransport,
-    TransportSpec,
     WorkerLostError,
-    get_transport,
-    list_transports,
-    register_transport,
+    transport_class,
     transport_names,
-    unregister_transport,
 )
 
 GRID_KWARGS = dict(experiments=("table4",), models=("alexnet",))
@@ -94,49 +90,37 @@ class TestLeaseLifecycle:
         assert lease.heartbeat_at >= before
 
 
-class TestRegistry:
-    def test_builtin_transports_are_registered(self):
+class TestTransportTable:
+    def test_fixed_names_and_classes(self):
         assert transport_names() == ("broker", "process", "serial", "thread")
+        assert list(TRANSPORTS) == ["serial", "thread", "process", "broker"]
+        assert TRANSPORTS["broker"] is BrokerTransport
         assert DEFAULT_TRANSPORT == "thread"
-        broker = get_transport("broker")
-        assert broker.distributed
-        for local in ("serial", "thread", "process"):
-            assert not get_transport(local).distributed
 
-    def test_unknown_transport_lists_registered_names(self):
-        with pytest.raises(KeyError, match="unknown transport 'mpi'") as excinfo:
-            get_transport("mpi")
+    def test_only_the_broker_is_distributed(self):
+        assert TRANSPORTS["broker"].distributed
+        for local in ("serial", "thread", "process"):
+            assert not TRANSPORTS[local].distributed
+
+    def test_unknown_transport_lists_the_names(self):
+        with pytest.raises(
+            ValueError, match="unknown transport 'mpi'"
+        ) as excinfo:
+            transport_class("mpi")
         assert "broker" in str(excinfo.value)
 
-    def test_register_and_unregister(self):
-        spec = TransportSpec(
-            name="turtle", title="slow but steady", factory=SerialTransport
-        )
-        register_transport(spec)
-        try:
-            assert get_transport("turtle") is spec
-            assert "turtle" in transport_names()
-            with pytest.raises(ValueError, match="already registered"):
-                register_transport(spec)
-            register_transport(spec, replace=True)
-        finally:
-            unregister_transport("turtle")
-        assert "turtle" not in transport_names()
-        unregister_transport("turtle")  # missing names are ignored
-
-    def test_list_transports_is_sorted(self):
-        names = [spec.name for spec in list_transports()]
-        assert names == sorted(names)
+    def test_unhashable_name_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown transport"):
+            transport_class(["x"])
 
     def test_create_names_transport_on_bad_options(self):
-        spec = get_transport("serial")
         with pytest.raises(
             ValueError, match="invalid options for transport 'serial'"
         ):
-            spec.create(lease_ttl_s=5.0)
+            _create_transport("serial", None, {"lease_ttl_s": 5.0})
 
     def test_create_passes_valid_options(self):
-        transport = get_transport("thread").create(max_attempts=7)
+        transport = _create_transport("thread", None, {"max_attempts": 7})
         assert isinstance(transport, ThreadTransport)
         assert transport.max_attempts == 7
 
@@ -164,21 +148,23 @@ class TestRunSweepTransportKnob:
                 **GRID_KWARGS,
             )
 
-    def test_custom_registered_transport_is_picked_up(self):
-        class TurtleTransport(SerialTransport):
-            name = "turtle"
 
-        register_transport(
-            TransportSpec(
-                name="turtle",
-                title="slow but steady",
-                factory=TurtleTransport,
-            )
-        )
-        try:
-            custom = run_sweep(transport="turtle", **GRID_KWARGS)
-        finally:
-            unregister_transport("turtle")
-        assert custom.stats.executor == "turtle"
-        serial = run_sweep(transport="serial", **GRID_KWARGS)
-        assert custom.to_json() == serial.to_json()
+EQUIVALENCE_KWARGS = dict(experiments=("table4", "fig7"), models=("alexnet",))
+
+
+@pytest.fixture(scope="module")
+def serial_reference():
+    return run_sweep(transport="serial", **EQUIVALENCE_KWARGS)
+
+
+@pytest.mark.parametrize("name", list(TRANSPORTS))
+def test_every_transport_matches_serial(name, serial_reference, tmp_path):
+    """Each entry of the table reproduces the serial sweep byte-for-byte."""
+    extra = {}
+    if TRANSPORTS[name].distributed:
+        extra["sweep_dir"] = tmp_path / "sweep"
+    result = run_sweep(
+        transport=name, max_workers=2, shards=2, **EQUIVALENCE_KWARGS, **extra
+    )
+    assert result.stats.executor == name
+    assert result.to_json() == serial_reference.to_json()

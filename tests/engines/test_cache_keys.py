@@ -1,12 +1,11 @@
 """Golden-value pinning of :meth:`SweepPoint.cache_key`.
 
-The engine-registry refactor rerouted the cache key's engine component
-through :attr:`repro.sim.engines.EngineSpec.cache_token`.  The token
-defaults to the engine name, so every historical on-disk sweep/serve cache
-entry must remain byte-for-byte addressable.  This suite pins the keys of a
-fixed (experiment, config, seed, engine, params) matrix to SHA-256 digests
-captured on the pre-registry code (v1.5.0); a mismatch means somebody
-rotated every user's cache by accident.
+The cache key's engine component is the engine name, and every historical
+on-disk sweep/serve cache entry must remain byte-for-byte addressable.
+This suite pins the keys of a fixed (experiment, config, seed, engine,
+params) matrix to SHA-256 digests captured on v1.5.0, both per point and
+through the batched :func:`repro.api.sweep.cache_keys_for_grid`; a
+mismatch means somebody rotated every user's cache by accident.
 
 The package version is part of the key payload *on purpose* (a release
 whose simulator produces different numbers must invalidate caches), so the
@@ -19,9 +18,8 @@ import pytest
 
 import repro
 from repro.api.sweep import SweepPoint
-from repro.sim.engines import get_engine
 
-#: Captured on v1.5.0, immediately before the engine-registry refactor:
+#: Captured on v1.5.0:
 #: ((experiment, config, seed, engine, params_json), sha256 hex digest).
 GOLDEN_VERSION = "1.5.0"
 GOLDEN_KEYS = [
@@ -252,16 +250,12 @@ class TestGoldenCacheKeys:
         )
         assert point.cache_key() == expected
 
-    def test_cache_token_defaults_to_name(self):
-        for name in ("scalar", "vectorized", "trace"):
-            assert get_engine(name).cache_token == name
-
     def test_batched_grid_keys_match_goldens(self, golden_version):
         """The spliced batch canonicaliser reproduces every golden byte.
 
         :func:`repro.api.sweep.cache_keys_for_grid` assembles the canonical
-        payload by string splicing (memoizing the per-config digest and
-        per-engine token); this must be indistinguishable from the per-point
+        payload by string splicing (memoizing the per-config digest); this
+        must be indistinguishable from the per-point
         ``json.dumps(payload, sort_keys=True)`` the goldens were captured
         from.
         """
@@ -291,25 +285,3 @@ class TestGoldenCacheKeys:
         first = point.cache_key()
         assert point.__dict__["_cache_key"] == first
         assert point.cache_key() is first
-
-    def test_custom_cache_token_rotates_only_its_own_keys(
-        self, golden_version
-    ):
-        """A backend bumping its token must not disturb other engines."""
-        from repro.sim.engines import EngineSpec, temporary_engine
-
-        def fail(*args, **kwargs):  # pragma: no cover - never dispatched
-            raise AssertionError("not executed")
-
-        with temporary_engine(
-            EngineSpec(
-                name="goldentest",
-                title="cache-token rotation probe",
-                cache_token="goldentest-v2",
-                run_jobs=fail,
-                evaluate=fail,
-            )
-        ):
-            rotated = SweepPoint("fig7", engine="goldentest").cache_key()
-            stock = SweepPoint("fig7").cache_key()
-        assert rotated != stock

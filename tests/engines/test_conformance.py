@@ -1,22 +1,22 @@
-"""The auto-applied cross-engine conformance suite.
+"""The cross-engine conformance suite.
 
-Every engine in the registry is parametrized through the same contract:
-bitwise equality with the scalar reference for analytical engines,
-:data:`~repro.sim.trace.TRACE_TOLERANCE` closeness for trace-class ones --
-across the seven stock workload graphs, a matrix of hardware presets and
-every sparsity variant the engine supports, plus seeded random
+Every engine of :data:`repro.sim.engines.ENGINE_SPECS` is parametrized
+through the same contract: bitwise equality with the scalar reference for
+analytical engines, :data:`~repro.sim.trace.TRACE_TOLERANCE` closeness for
+trace-class ones -- across the seven stock workload graphs, a matrix of
+hardware presets and every sparsity variant, plus seeded random
 :mod:`repro.workloads.fuzz` graphs (a smoke subset always; the full
 100-seed corpus behind the ``fuzz`` marker, see ``docs/testing.md``).
 
-Registering a new engine via :func:`repro.sim.engines.register_engine`
-automatically enrolls it here -- the parametrization reads the live
-registry at collection time.
+Adding an engine to that table enrolls it here -- the parametrization
+iterates over it.
 """
 
 import pytest
 
 from repro.api.configs import get_config
-from repro.sim.engines import EngineSpec, list_engines, temporary_engine
+from repro.arch.config import SPARSITY_VARIANTS
+from repro.sim.engines import ENGINE_SPECS, EngineSpec
 from repro.sim.engines.conformance import (
     REFERENCE_ENGINE,
     ConformanceError,
@@ -38,8 +38,8 @@ CORPUS_SEEDS = tuple(range(100))
 
 
 def engine_params():
-    """One pytest param per registered engine, id'd by name."""
-    return [pytest.param(spec, id=spec.name) for spec in list_engines()]
+    """One pytest param per engine of the table, id'd by name."""
+    return [pytest.param(spec, id=spec.name) for spec in ENGINE_SPECS]
 
 
 @pytest.fixture(scope="module")
@@ -71,19 +71,19 @@ def reference_cache():
 class TestStockWorkloadConformance:
     def test_matrix_is_nontrivial(self):
         assert len(STOCK_WORKLOADS) == 7
-        assert len(list_engines()) >= 3
+        assert len(ENGINE_SPECS) >= 3
 
     @pytest.mark.parametrize("engine", engine_params())
     @pytest.mark.parametrize("workload", STOCK_WORKLOADS)
     def test_engine_conforms_on_stock_graphs(
         self, engine, workload, stock_profiles, reference_cache
     ):
-        """presets x supported variants, bitwise (or trace-tolerance)."""
+        """presets x variants, bitwise (or trace-tolerance)."""
         profile = stock_profiles[workload]
         checked = 0
         for preset in PRESETS:
             config = get_config(preset)
-            for variant in engine.variants:
+            for variant in SPARSITY_VARIANTS:
                 reference = reference_cache(
                     workload, profile, preset, variant
                 )
@@ -96,15 +96,15 @@ class TestStockWorkloadConformance:
                     case=f"{workload}/{preset}/{variant}",
                 )
                 checked += 1
-        assert checked == len(PRESETS) * len(engine.variants)
+        assert checked == len(PRESETS) * len(SPARSITY_VARIANTS)
 
     def test_verify_engine_counts_the_matrix(self, stock_profiles):
         profiles = [stock_profiles["alexnet"], stock_profiles["vit_tiny"]]
-        spec = next(s for s in list_engines() if s.name == "vectorized")
+        spec = next(s for s in ENGINE_SPECS if s.name == "vectorized")
         checked = verify_engine(
             spec, profiles, [get_config("paper-28nm")]
         )
-        assert checked == len(profiles) * len(spec.variants)
+        assert checked == len(profiles) * len(SPARSITY_VARIANTS)
 
 
 class TestFuzzConformance:
@@ -116,7 +116,7 @@ class TestFuzzConformance:
             pytest.skip("the reference engine trivially conforms")
         profile = profile_model(fuzz_workload(seed), seed=0)
         config = get_config("paper-28nm")
-        for variant in engine.variants:
+        for variant in SPARSITY_VARIANTS:
             assert_conformance(
                 engine,
                 profile,
@@ -131,10 +131,10 @@ class TestFuzzConformance:
         """The full >=100-seed corpus (run with ``-m fuzz``)."""
         profile = profile_model(fuzz_workload(seed), seed=0)
         config = get_config("paper-28nm")
-        for engine in list_engines():
+        for engine in ENGINE_SPECS:
             if engine.name == REFERENCE_ENGINE:
                 continue
-            for variant in engine.variants:
+            for variant in SPARSITY_VARIANTS:
                 assert_conformance(
                     engine,
                     profile,
@@ -166,7 +166,6 @@ class TestHarnessCatchesBrokenEngines:
             name="broken",
             title="deliberately wrong analytical engine",
             cycle_model=False,
-            batch=False,
             evaluate=evaluate,
         )
 
@@ -185,7 +184,6 @@ class TestHarnessCatchesBrokenEngines:
             name="broken-trace",
             title="deliberately wrong trace-class engine",
             cycle_model=False,
-            batch=False,
             trace_class=True,
             evaluate=evaluate,
         )
@@ -193,17 +191,16 @@ class TestHarnessCatchesBrokenEngines:
     def test_analytical_divergence_is_caught(self, stock_profiles):
         profile = stock_profiles["alexnet"]
         config = get_config("paper-28nm")
-        with temporary_engine(self._broken_analytical_spec()) as spec:
-            with pytest.raises(ConformanceError, match="compute_cycles"):
-                assert_conformance(spec, profile, config, "hybrid")
+        spec = self._broken_analytical_spec()
+        with pytest.raises(ConformanceError, match="compute_cycles"):
+            assert_conformance(spec, profile, config, "hybrid")
 
     def test_trace_class_divergence_is_caught(self, stock_profiles):
         profile = stock_profiles["alexnet"]
         config = get_config("paper-28nm")
-        with temporary_engine(self._broken_trace_spec()) as spec:
-            mismatches = conformance_mismatches(
-                spec, profile, config, "hybrid"
-            )
+        mismatches = conformance_mismatches(
+            self._broken_trace_spec(), profile, config, "hybrid"
+        )
         assert len(mismatches) == 1
         assert "rel err" in mismatches[0]
 
@@ -222,22 +219,9 @@ class TestHarnessCatchesBrokenEngines:
             name="aggregate",
             title="aggregate-only engine without trace_class",
             cycle_model=False,
-            batch=False,
             evaluate=evaluate,
         )
-        profile = stock_profiles["alexnet"]
-        with temporary_engine(spec):
-            mismatches = conformance_mismatches(
-                spec, profile, get_config("paper-28nm"), "hybrid"
-            )
+        mismatches = conformance_mismatches(
+            spec, stock_profiles["alexnet"], get_config("paper-28nm"), "hybrid"
+        )
         assert mismatches and "trace_class" in mismatches[0]
-
-    def test_unsupported_variant_is_rejected(self, stock_profiles):
-        spec = next(s for s in list_engines() if s.name == "vectorized")
-        with pytest.raises(ValueError, match="does not support variant"):
-            conformance_mismatches(
-                spec,
-                stock_profiles["alexnet"],
-                get_config("paper-28nm"),
-                "no-such-variant",
-            )

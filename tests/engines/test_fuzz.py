@@ -13,7 +13,8 @@ import pytest
 
 from repro.api.configs import get_config
 from repro.compiler.schedule import plan_elementwise_fusion
-from repro.sim.engines import list_engines
+from repro.arch.config import SPARSITY_VARIANTS
+from repro.sim.engines import ENGINE_SPECS
 from repro.sim.engines.conformance import (
     REFERENCE_ENGINE,
     assert_conformance,
@@ -156,10 +157,10 @@ class TestMinimizedFixtures:
         )
         profile = profile_model(workload, seed=0)
         config = get_config("paper-28nm")
-        for engine in list_engines():
+        for engine in ENGINE_SPECS:
             if engine.name == REFERENCE_ENGINE:
                 continue
-            for variant in engine.variants:
+            for variant in SPARSITY_VARIANTS:
                 assert_conformance(
                     engine,
                     profile,

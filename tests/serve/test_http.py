@@ -128,6 +128,46 @@ class TestEndpoints:
         assert status == 400
         assert "unknown sweep parameters" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"transport": "osmosis"}, "unknown transport 'osmosis'"),
+            ({"engine": "warp"}, "unknown engine 'warp'"),
+            ({"engine": "trace"}, "not a cycle-model engine"),
+            ({"experiments": ["nope"]}, "unknown experiment 'nope'"),
+            ({"configs": ["nope"]}, "unknown config preset 'nope'"),
+            ({"models": ["nope"]}, "unknown workload 'nope'"),
+            ({"models": []}, "empty model list"),
+            ({"transport": ["x"]}, "'transport' must be a string"),
+            ({"engine": None}, "'engine' must be a string"),
+            ({"experiments": "table4"}, "'experiments' must be a list"),
+            ({"configs": [1]}, "'configs' must be a list of strings"),
+        ],
+    )
+    def test_sweep_client_mistakes_map_to_400(self, server, body, message):
+        before = server.service.metrics.snapshot()["counters"]
+        status, reply = post(
+            server, "/v1/sweep", {"experiments": ["table4"], **body}
+        )
+        after = server.service.metrics.snapshot()["counters"]
+        assert status == 400
+        assert reply["error"]["type"] == "RequestValidationError"
+        assert message in reply["error"]["message"]
+        assert not reply["error"]["message"].startswith(("'", '"'))
+        assert after.get("sweep_failures_total", 0) == before.get(
+            "sweep_failures_total", 0
+        )
+
+    def test_sweep_accepts_named_transport(self, server):
+        status, body = post(
+            server,
+            "/v1/sweep",
+            {"experiments": ["table4"], "transport": "serial",
+             "engine": "scalar", "configs": ["paper-28nm"]},
+        )
+        assert status == 200
+        assert len(body["sweep"]["results"]) == 1
+
     def test_metrics_endpoint(self, server):
         status, body = get(server, "/v1/metrics")
         assert status == 200

@@ -94,19 +94,24 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             CycleModel(engine="turbo")
 
-    def test_mismatched_configs_length_rejected(self, profiles):
-        model = CycleModel()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_mismatched_configs_length_rejected(self, profiles, engine):
+        model = CycleModel(engine=engine)
         with pytest.raises(ValueError, match="configs"):
             model.run_batch(
                 [(profiles["alexnet"], "hybrid")], configs=[model.config] * 2
             )
 
-    def test_empty_batch(self):
-        assert CycleModel().run_batch([]) == []
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_batch(self, engine):
+        assert CycleModel(engine=engine).run_batch([]) == []
 
-    def test_unknown_variant_rejected_in_batch(self, profiles):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unknown_variant_rejected_in_batch(self, profiles, engine):
         with pytest.raises(ValueError, match="unknown variant"):
-            CycleModel().run_batch([(profiles["alexnet"], "bogus")])
+            CycleModel(engine=engine).run_batch(
+                [(profiles["alexnet"], "bogus")]
+            )
 
 
 class TestProfileArrays:
