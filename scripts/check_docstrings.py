@@ -107,10 +107,7 @@ REQUIRED_SYMBOLS = (
     "repro.dist.locks.PidFileLockError",
     "repro.dist.locks.pid_alive",
     "repro.dist.transport.ShardTransport",
-    "repro.dist.transport.ShardTransport.lease",
-    "repro.dist.transport.ShardTransport.complete",
-    "repro.dist.transport.ShardTransport.requeue",
-    "repro.dist.transport.ShardLease",
+    "repro.dist.transport.ShardTransport.run",
     "repro.dist.transport.TransportError",
     "repro.dist.transport.WorkerLostError",
     "repro.dist.transport.SerialTransport",

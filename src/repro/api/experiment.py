@@ -25,7 +25,18 @@ not re-profile the workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -132,6 +143,20 @@ class ExperimentSpec:
     def default_params(self) -> Dict[str, Any]:
         """The canonical default parameters as a fresh mutable dict."""
         return dict(self.defaults)
+
+    @property
+    def parameter_names(self) -> FrozenSet[str]:
+        """Every parameter name the experiment accepts."""
+        names = frozenset(name for name, _ in self.defaults)
+        return names | {"models"} if self.takes_models else names
+
+    def unexpected_parameters_error(self, names: Iterable[str]) -> TypeError:
+        """The error naming ``names`` this experiment does not accept."""
+        return TypeError(
+            f"experiment {self.id!r} got unexpected parameters "
+            f"{sorted(names)}; allowed: "
+            f"{sorted(self.parameter_names) or 'none'}"
+        )
 
 
 #: Registry of every reproducible table/figure, in paper order.
@@ -876,13 +901,9 @@ class Experiment:
         spec = get_experiment_spec(experiment)
         merged = spec.default_params
         merged.update(params)
-        allowed = set(spec.default_params) | ({"models"} if spec.takes_models else set())
-        unknown = set(merged) - allowed
+        unknown = set(merged) - spec.parameter_names
         if unknown:
-            raise TypeError(
-                f"experiment {spec.id!r} got unexpected parameters {sorted(unknown)}; "
-                f"allowed: {sorted(allowed) or 'none'}"
-            )
+            raise spec.unexpected_parameters_error(unknown)
         if spec.takes_models:
             merged["models"] = self._resolve_models(merged.get("models"))
         rows = getattr(self, spec.runner)(**merged)

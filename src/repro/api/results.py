@@ -433,10 +433,12 @@ class SweepStats:
     byte-identical to an uninterrupted run.
 
     Attributes:
-        executor: backend that ran the shards (``"serial"``, ``"thread"``
-            or ``"process"``).
+        executor: transport that ran the shards (``"serial"``,
+            ``"thread"``, ``"process"`` or ``"broker"``).
         max_workers: worker count of the executor pool.
-        shards: shards the planner produced for this invocation.
+        shards: executed shards of this invocation (the planner's cold
+            shards, plus one recovery shard when warm entries vanished
+            before their restore).
         warm_points: points planned as on-disk cache loads.
         cold_points: points planned as simulator executions.
         journaled_points: points restored from the run journal (resume).

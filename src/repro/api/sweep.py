@@ -7,12 +7,12 @@ that fan-out into a small *service*:
 * :func:`build_grid` expands (experiments x models x configs x seeds) into
   :class:`SweepPoint` s, splitting the model-parameterised experiments into
   one point per model so the fan-out is maximally parallel;
-* :class:`ShardPlanner` partitions the grid into :class:`SweepShard` s keyed
-  by **cache state**: points whose on-disk cache entry already exists land
-  in cheap warm (I/O-bound) shards, cold points are grouped by
-  (config, seed, engine) -- so one worker session amortises configuration
-  construction and profile caching across a whole shard -- and chunked to
-  the requested shard count;
+* :class:`ShardPlanner` splits the grid by **cache state**: points whose
+  on-disk cache entry already exists are set aside as *warm* grid indices
+  (restored in one batched read), cold points are grouped by
+  (seed, engine) -- so one worker session amortises configuration
+  construction and profile caching across a whole shard -- and chunked
+  into :class:`SweepShard` s of the requested shard count;
 * :func:`run_shard` executes one shard through the execution core
   (:func:`repro.api.execution.execute_points`): single-model points of the
   same experiment are merged into **one batched** ``Experiment.run`` call
@@ -65,10 +65,12 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -221,6 +223,62 @@ class SweepPointError(RuntimeError):
         return (type(self), (self.args[0], self.point))
 
 
+def _listed(field: str, values: Any, kind: type) -> Tuple[Any, ...]:
+    """A list-valued sweep argument as a tuple of ``kind`` items.
+
+    Raises:
+        TypeError: naming ``field`` -- in particular for a bare string,
+            which would otherwise iterate as one item per character.
+    """
+    noun = "strings" if kind is str else "integers"
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise TypeError(
+            f"sweep field {field!r} must be a list of {noun}, not {values!r}"
+        )
+    items = tuple(values)
+    for item in items:
+        if not isinstance(item, kind) or isinstance(item, bool):
+            raise TypeError(
+                f"sweep field {field!r} must be a list of {noun}, got {item!r}"
+            )
+    return items
+
+
+def _grid_overrides(
+    params_by_experiment: Optional[Mapping[str, Mapping[str, Any]]],
+) -> Dict[str, Dict[str, Any]]:
+    """Validated per-experiment parameters, keyed by experiment id.
+
+    Each experiment's parameter names are checked once here, so a name
+    the experiment does not take fails before any point runs.
+
+    Raises:
+        TypeError: not a mapping of mappings, or a parameter name the
+            experiment does not take.
+        KeyError: an unknown experiment id.
+    """
+    if params_by_experiment is None:
+        return {}
+    field = "sweep field 'params_by_experiment'"
+    if not isinstance(params_by_experiment, Mapping):
+        raise TypeError(f"{field} must map experiment ids to parameters")
+    overrides: Dict[str, Dict[str, Any]] = {}
+    for experiment, params in params_by_experiment.items():
+        if not isinstance(experiment, str) or not isinstance(params, Mapping):
+            raise TypeError(
+                f"{field} must map experiment ids to parameter objects, "
+                f"got {experiment!r}: {params!r}"
+            )
+        spec = get_experiment_spec(experiment)
+        unknown = set(params) - spec.parameter_names
+        if unknown:
+            raise TypeError(
+                f"{field}: {spec.unexpected_parameters_error(unknown)}"
+            )
+        overrides[spec.id] = dict(params)
+    return overrides
+
+
 def build_grid(
     experiments: Optional[Sequence[str]] = None,
     models: Optional[Sequence[str]] = None,
@@ -235,35 +293,59 @@ def build_grid(
     models of Fig. 7 fan out to five workers); model-free experiments
     (Table 1, Table 4) contribute a single point per (config, seed).
 
+    Every argument is validated up front, before any point is built or
+    any worker starts.
+
     Args:
         experiments: experiment ids (default: every non-training experiment).
         models: workload names (default: all five paper models).
         configs: registered preset names.
-        seeds: RNG seeds.
+        seeds: RNG seeds (integers).
         params_by_experiment: extra per-experiment parameters, e.g.
             ``{"table2": {"epochs": 4}}``.
         engine: cycle-model engine evaluating every point (part of each
             point's cache key).
+
+    Raises:
+        TypeError: a field of the wrong type (a bare string where a list
+            is expected, a non-integer seed, a non-string engine) or a
+            parameter an experiment does not take; the message names the
+            field.
+        KeyError: an unknown experiment, config preset or workload.
+        ValueError: an unknown engine or an empty model list.
     """
-    ids = tuple(experiments) if experiments is not None else DEFAULT_SWEEP_EXPERIMENTS
-    extra = dict(params_by_experiment or {})
+    ids = (
+        _listed("experiments", experiments, str)
+        if experiments is not None
+        else DEFAULT_SWEEP_EXPERIMENTS
+    )
+    specs = [get_experiment_spec(experiment) for experiment in ids]
+    config_names = _listed("configs", configs, str)
+    for config in config_names:
+        get_config(config)  # validate eagerly, before any worker starts
+    seed_values = _listed("seeds", seeds, Integral)
+    if not isinstance(engine, str):
+        raise TypeError(
+            f"sweep field 'engine' must be a string, not {engine!r}"
+        )
     resolve_cycle_model_engine(engine)  # validate eagerly, with suggestions
     if models is not None:
-        if not models:
+        model_list = _listed("models", models, str)
+        if not model_list:
             raise ValueError(
                 "empty model list; pass None (or omit the argument) to sweep "
                 "every workload"
             )
-        for model in models:
+        for model in model_list:
             _get_workload(model)  # validate eagerly, before any worker starts
+    else:
+        model_list = _all_models()
+    extra = _grid_overrides(params_by_experiment)
     points: List[SweepPoint] = []
-    for config in configs:
-        get_config(config)  # validate eagerly, before any worker starts
-        for seed in seeds:
-            for experiment in ids:
-                spec = get_experiment_spec(experiment)
-                overrides = dict(extra.get(spec.id, {}))
-                model_list = tuple(models) if models is not None else _all_models()
+    for config in config_names:
+        for seed in seed_values:
+            for spec in specs:
+                overrides = extra.get(spec.id, {})
                 if spec.takes_models and not spec.aggregates_models:
                     for model in model_list:
                         points.append(
@@ -409,8 +491,6 @@ class SweepShard:
         index: shard sequence number (stable across identical plans).
         indices: positions of the shard's points in the original grid.
         points: the grid points, in grid order.
-        warm: True when every point had an on-disk cache entry at planning
-            time (the shard is expected to be I/O-bound deserialisation).
         configs: the resolved ``(preset name, configuration)`` pairs of the
             shard's points.  Shipped with the shard so a process worker --
             whose fresh interpreter only knows the built-in presets -- can
@@ -420,7 +500,6 @@ class SweepShard:
     index: int
     indices: Tuple[int, ...]
     points: Tuple[SweepPoint, ...]
-    warm: bool = False
     configs: Tuple[Tuple[str, DBPIMConfig], ...] = ()
 
     def __len__(self) -> int:
@@ -432,7 +511,9 @@ class ShardPlan:
     """The output of :meth:`ShardPlanner.plan`.
 
     Attributes:
-        shards: the shards to execute, in planning order.
+        shards: the cold shards to execute, in planning order.
+        warm: grid indices whose cache entry existed at planning time, in
+            grid order (restored by the coordinator, never sharded).
         journaled: grid indices whose results were restored from the run
             journal (excluded from every shard).
         cache_keys: the content hash of every grid point, in grid order
@@ -440,22 +521,23 @@ class ShardPlan:
     """
 
     shards: Tuple[SweepShard, ...]
+    warm: Tuple[int, ...]
     journaled: Tuple[int, ...]
     cache_keys: Tuple[str, ...]
 
     @property
     def cold_points(self) -> int:
         """Points that will run the simulator (no cache entry at plan time)."""
-        return sum(len(s) for s in self.shards if not s.warm)
+        return sum(len(s) for s in self.shards)
 
     @property
     def warm_points(self) -> int:
         """Points expected to deserialise from the on-disk cache."""
-        return sum(len(s) for s in self.shards if s.warm)
+        return len(self.warm)
 
 
 class ShardPlanner:
-    """Partition a sweep grid into executable shards keyed by cache state.
+    """Partition a sweep grid by cache state into executable cold shards.
 
     The planner is deterministic: the same grid, cache state and journal
     state always produce an identical :class:`ShardPlan` (pinned by the
@@ -466,17 +548,17 @@ class ShardPlanner:
     1. points already present in the run journal are set aside (their
        results are restored without touching a worker);
     2. the remainder is split by cache state -- *warm* points (cache entry
-       exists) are grouped separately from *cold* points, so a mostly-warm
-       re-run does not occupy process workers with deserialisation;
-    3. within each temperature, points are grouped by ``(seed, engine)``
+       exists) are set aside as grid indices the coordinator restores in
+       one batched read, so a mostly-warm re-run does not occupy process
+       workers with deserialisation;
+    3. *cold* points are grouped by ``(seed, engine)``
        -- configurations deliberately stay *mixed* inside one group, so
        cold points that differ only in config share one worker's
        workload-profile cache across its per-config sessions
        (:class:`~repro.api.execution.SessionPool`) -- and each group is
-       chunked into shards of roughly ``total / shards`` points.  Cold
-       groups are chunked at *profile* boundaries: every cold
-       single-model point of one model whose experiment profiles it
-       lands in one shard, so each distinct
+       chunked into shards of roughly ``cold total / shards`` points, at
+       *profile* boundaries: every cold single-model point of one model
+       whose experiment profiles it lands in one shard, so each distinct
        workload profile is computed once per sweep (see
        :func:`_profile_bundles`).  Every other point chunks in grid order.
 
@@ -487,9 +569,9 @@ class ShardPlanner:
     Args:
         cache_dir: the sweep's on-disk result cache (``None`` disables the
             warm/cold split; every point plans as cold).
-        shards: target shard count per temperature (default: twice the
-            worker count, so the pool stays busy while shards finish at
-            different speeds).
+        shards: target cold shard count (default: twice the worker count,
+            so the pool stays busy while shards finish at different
+            speeds).
         max_workers: the worker count the sweep will run with (used only to
             derive the default shard count).
 
@@ -524,7 +606,7 @@ class ShardPlanner:
         grid: Sequence[SweepPoint],
         journaled_keys: Optional[Sequence[str]] = None,
     ) -> ShardPlan:
-        """Partition ``grid`` into shards.
+        """Split ``grid`` into warm indices and cold shards.
 
         Args:
             grid: the sweep points, in grid order (see :func:`build_grid`).
@@ -538,49 +620,50 @@ class ShardPlanner:
             self.store.probe(keys) if self.store is not None else frozenset()
         )
         journaled: List[int] = []
-        # (warm, seed, engine) -> [(grid index, point)]; configs mix inside
-        # a group so one worker's per-config sessions share profiles.
-        groups: Dict[Tuple[bool, int, str], List[Tuple[int, SweepPoint]]] = {}
-        totals = {True: 0, False: 0}
+        warm: List[int] = []
+        # (seed, engine) -> [(grid index, point)]; configs mix inside a
+        # group so one worker's per-config sessions share profiles.
+        groups: Dict[Tuple[int, str], List[Tuple[int, SweepPoint]]] = {}
+        cold_total = 0
         for index, (point, key) in enumerate(zip(grid, keys)):
             if key in known:
                 journaled.append(index)
-                continue
-            warm = key in present
-            group_key = (warm, point.seed, point.engine)
-            groups.setdefault(group_key, []).append((index, point))
-            totals[warm] += 1
-
-        target = self._target_shards()
-        chunk_sizes = {
-            warm: max(1, -(-total // target)) for warm, total in totals.items()
-        }
-        shards: List[SweepShard] = []
-        for (warm, _seed, _engine), members in groups.items():
-            bundles = (
-                [[member] for member in members]
-                if warm
-                else _profile_bundles(members)
-            )
-            for chunk in _chunk_bundles(bundles, chunk_sizes[warm]):
-                resolved: Dict[str, DBPIMConfig] = {}
-                for _, point in chunk:
-                    if point.config not in resolved:
-                        resolved[point.config] = get_config(point.config)
-                shards.append(
-                    SweepShard(
-                        index=len(shards),
-                        indices=tuple(i for i, _ in chunk),
-                        points=tuple(p for _, p in chunk),
-                        warm=warm,
-                        configs=tuple(resolved.items()),
-                    )
+            elif key in present:
+                warm.append(index)
+            else:
+                groups.setdefault((point.seed, point.engine), []).append(
+                    (index, point)
                 )
+                cold_total += 1
+
+        chunk_size = max(1, -(-cold_total // self._target_shards()))
+        shards: List[SweepShard] = []
+        for members in groups.values():
+            for chunk in _chunk_bundles(_profile_bundles(members), chunk_size):
+                shards.append(_make_shard(len(shards), chunk))
         return ShardPlan(
             shards=tuple(shards),
+            warm=tuple(warm),
             journaled=tuple(journaled),
             cache_keys=keys,
         )
+
+
+def _make_shard(
+    index: int, members: Sequence[Tuple[int, SweepPoint]]
+) -> SweepShard:
+    """One shard of ``(grid index, point)`` members, shipping the resolved
+    configuration of every distinct preset in first-appearance order."""
+    resolved: Dict[str, DBPIMConfig] = {}
+    for _, point in members:
+        if point.config not in resolved:
+            resolved[point.config] = get_config(point.config)
+    return SweepShard(
+        index=index,
+        indices=tuple(i for i, _ in members),
+        points=tuple(p for _, p in members),
+        configs=tuple(resolved.items()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1128,7 +1211,6 @@ def _run_sweep_locked(
         run_journal.start(resume=resume)
 
     def _finish(
-        points_by_index: Mapping[int, SweepPoint],
         batch_outcomes: Sequence[Tuple[int, ExperimentResult, bool]],
         label: str,
     ) -> None:
@@ -1158,7 +1240,7 @@ def _run_sweep_locked(
             run_journal.append(
                 [
                     (
-                        points_by_index[index],
+                        grid[index],
                         plan.cache_keys[index],
                         result,
                         hit,
@@ -1172,55 +1254,34 @@ def _run_sweep_locked(
         shard: SweepShard,
         shard_outcomes: Sequence[Tuple[int, ExperimentResult, bool]],
     ) -> None:
-        _finish(
-            dict(zip(shard.indices, shard.points)),
-            shard_outcomes,
-            f"shard {shard.index}",
-        )
+        _finish(shard_outcomes, f"shard {shard.index}")
 
-    exec_shards = tuple(s for s in plan.shards if not s.warm)
-    warm_points: Dict[int, SweepPoint] = {
-        index: point
-        for shard in plan.shards
-        if shard.warm
-        for index, point in zip(shard.indices, shard.points)
-    }
-    if warm_points:  # only a store makes points warm
-        fetched = store.get_many(
-            plan.cache_keys[index] for index in warm_points
-        )
+    executed = len(plan.shards)
+    if plan.warm:  # only a store makes points warm
+        fetched = store.get_many(plan.cache_keys[index] for index in plan.warm)
         hits: List[Tuple[int, ExperimentResult, bool]] = []
         lost: List[Tuple[int, SweepPoint]] = []
-        for index, point in warm_points.items():
+        for index in plan.warm:
             result = fetched.get(plan.cache_keys[index])
             if result is None:
-                lost.append((index, point))
+                lost.append((index, grid[index]))
             else:
                 hits.append((index, result, True))
-        _finish(warm_points, hits, "warm restore")
+        _finish(hits, "warm restore")
         if lost:
             # Entries damaged (or removed) between planning and restore
             # recompute exactly like cold points.
-            resolved: Dict[str, DBPIMConfig] = {}
-            for _, point in lost:
-                if point.config not in resolved:
-                    resolved[point.config] = get_config(point.config)
-            recovery = SweepShard(
-                index=len(plan.shards),
-                indices=tuple(index for index, _ in lost),
-                points=tuple(point for _, point in lost),
-                warm=False,
-                configs=tuple(resolved.items()),
-            )
+            recovery = _make_shard(len(plan.shards), lost)
             _finish_shard(recovery, run_shard(recovery))
+            executed += 1
 
     workers = planner.max_workers or max(
-        1, min(len(exec_shards), os.cpu_count() or 1)
+        1, min(len(plan.shards), os.cpu_count() or 1)
     )
     # The transport owns the execution strategy (inline, pool, or a worker
     # fleet over a shared directory); run_shard is the runner every
     # backend executes.
-    transport_obj.run(exec_shards, run_shard, _finish_shard, workers)
+    transport_obj.run(plan.shards, run_shard, _finish_shard, workers)
 
     completed = [outcome for outcome in outcomes if outcome is not None]
     if len(completed) != len(grid):  # pragma: no cover - defensive
@@ -1229,7 +1290,7 @@ def _run_sweep_locked(
     stats = SweepStats(
         executor=transport_name,
         max_workers=workers,
-        shards=len(plan.shards),
+        shards=executed,
         warm_points=plan.warm_points,
         cold_points=plan.cold_points,
         journaled_points=len(plan.journaled),

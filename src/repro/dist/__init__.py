@@ -1,4 +1,4 @@
-"""Distributed sweep fabric: shard transports, leases, and workers.
+"""Sweep execution fabric: shard transports, the broker, and workers.
 
 The sweep service (:mod:`repro.api.sweep`) partitions a grid into
 deterministic, journaled :class:`~repro.api.sweep.SweepShard` s -- exactly
@@ -10,24 +10,25 @@ layer behind it:
   sweep journal, the packed result store and the broker's shard leases are
   all built from;
 * :mod:`repro.dist.transport` -- the :class:`ShardTransport` protocol
-  (``lease`` / ``heartbeat`` / ``complete`` / ``requeue`` lifecycle,
-  per-shard attempt counts, a typed :class:`WorkerLostError` when the
-  retry budget runs out) plus the three local adapters (``serial`` /
+  (one ``run(shards, runner, finish, max_workers)`` that finishes every
+  shard exactly once) plus the three local adapters (``serial`` /
   ``thread`` / ``process``) that re-implement the historical executor
   backends byte-identically;
 * :mod:`repro.dist.broker` -- the first distributed transport: a
   :class:`DirectoryBroker` coordinating stateless workers over a shared
   sweep directory (pickled shard task files, PID+heartbeat-stamped lease
   sentinels, atomically-renamed journal-fragment results merged
-  deterministically by the coordinator);
+  deterministically by the coordinator, per-shard attempt counts and a
+  typed :class:`WorkerLostError` when the retry budget runs out);
 * :mod:`repro.dist.worker` -- the ``repro worker`` protocol: attach to a
   sweep directory, lease cold shards, execute them through the existing
   :func:`repro.api.sweep.run_shard`, stream results back as fragments,
   heartbeat while busy, repeat until the sweep completes.
 
-A worker SIGKILLed mid-shard is recovered by lease expiry -> requeue
-(bounded by ``max_attempts``), and an N-worker sweep reproduces the serial
-transport's :class:`~repro.api.results.SweepResult` byte-for-byte -- see
+A worker SIGKILLed mid-shard is recovered by breaking its lease so the
+shard is claimable again (bounded by the broker's ``max_attempts``), and
+an N-worker sweep reproduces the serial transport's
+:class:`~repro.api.results.SweepResult` byte-for-byte -- see
 ``docs/distributed.md``.
 
 All four transports sit in one fixed table, :data:`TRANSPORTS`; adding a
@@ -39,10 +40,8 @@ from typing import Dict, Tuple, Type
 from .locks import PidFileLock, PidFileLockError, pid_alive
 from .transport import (
     DEFAULT_TRANSPORT,
-    LocalTransport,
     ProcessTransport,
     SerialTransport,
-    ShardLease,
     ShardOutcomes,
     ShardTransport,
     ThreadTransport,
@@ -91,10 +90,8 @@ __all__ = [
     "PidFileLockError",
     "pid_alive",
     "DEFAULT_TRANSPORT",
-    "ShardLease",
     "ShardOutcomes",
     "ShardTransport",
-    "LocalTransport",
     "SerialTransport",
     "ThreadTransport",
     "ProcessTransport",

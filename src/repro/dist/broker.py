@@ -55,12 +55,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .locks import PidFileLock, pid_alive
 from .transport import (
-    ShardLease,
     ShardOutcomes,
     ShardRunner,
     ShardFinisher,
     ShardTransport,
     TransportError,
+    WorkerLostError,
 )
 
 __all__ = [
@@ -577,7 +577,8 @@ class BrokerTransport(ShardTransport):
         lease_ttl_s: heartbeat age after which a lease is presumed lost.
         poll_s: coordinator polling interval while waiting on workers.
         max_attempts: per-shard lease budget before
-            :class:`~repro.dist.transport.WorkerLostError`.
+            :class:`~repro.dist.transport.WorkerLostError` (a broker-only
+            option: an in-process transport cannot lose a shard).
         coordinator_executes: whether the coordinator leases and runs
             shards itself alongside the workers (True by default; pass
             False to make it a pure coordinator).
@@ -594,7 +595,6 @@ class BrokerTransport(ShardTransport):
         max_attempts: int = 3,
         coordinator_executes: bool = True,
     ) -> None:
-        super().__init__(max_attempts=max_attempts)
         if sweep_dir is None:
             raise ValueError(
                 "the broker transport requires sweep_dir= (the shared "
@@ -604,12 +604,17 @@ class BrokerTransport(ShardTransport):
             raise ValueError("lease_ttl_s must be positive")
         if poll_s <= 0:
             raise ValueError("poll_s must be positive")
+        if max_attempts <= 0:
+            raise ValueError("max_attempts must be positive")
+        self.max_attempts = max_attempts
         self.sweep_dir = Path(sweep_dir)
         self.lease_ttl_s = lease_ttl_s
         self.poll_s = poll_s
         self.coordinator_executes = coordinator_executes
         self.worker_id = f"coordinator-{os.getpid()}"
         self.broker = DirectoryBroker(self.sweep_dir)
+        #: Leases each shard has burned (coordinator and worker leases).
+        self._attempts: Dict[int, int] = {}
         #: Last observed (worker, pid, created) signature per shard, so
         #: each distinct lease counts exactly one attempt.
         self._observed: Dict[int, Tuple[Any, Any, Any]] = {}
@@ -625,7 +630,13 @@ class BrokerTransport(ShardTransport):
             )
 
     def _lost(self, shard: Any, info: Dict[str, Any]) -> None:
-        """Break a dead lease and requeue its shard (bounded)."""
+        """Break a dead lease so the shard is claimable again (bounded).
+
+        Raises:
+            WorkerLostError: the shard already burned ``max_attempts``
+                leases; the error names the shard.
+        """
+        attempts = self._attempts.get(shard.index, 1)
         warnings.warn(
             f"sweep shard {shard.index} lost its worker "
             f"{info.get('worker')!r} (pid {info.get('pid')}); requeueing "
@@ -636,12 +647,15 @@ class BrokerTransport(ShardTransport):
         )
         self.broker.break_lease(shard.index)
         self._observed.pop(shard.index, None)
-        lease = ShardLease(
-            shard=shard,
-            worker=str(info.get("worker")),
-            attempt=self._attempts.get(shard.index, 1),
-        )
-        self.requeue(lease)  # raises WorkerLostError past the budget
+        if attempts >= self.max_attempts:
+            raise WorkerLostError(
+                f"shard {shard.index} was lost {attempts} times "
+                f"(last worker {str(info.get('worker'))!r}); giving up after "
+                f"max_attempts={self.max_attempts}",
+                shard_index=shard.index,
+                attempts=attempts,
+                point_indices=tuple(shard.indices),
+            )
 
     def _raise_point_error(
         self, message: str, point_payload: Optional[Dict[str, Any]]
@@ -695,7 +709,6 @@ class BrokerTransport(ShardTransport):
         try:
             sweep_id = f"{os.getpid():x}-{time.time_ns():x}"
             self.broker.publish(shards, sweep_id)
-            self.submit(shards)
             pending: Dict[int, Any] = {shard.index: shard for shard in shards}
             try:
                 while pending:
@@ -739,14 +752,7 @@ class BrokerTransport(ShardTransport):
                 )
                 self.broker.discard_result(shard_index)
                 continue
-            shard = pending.pop(shard_index)
-            lease = self._leases.pop(shard_index, None) or ShardLease(
-                shard=shard,
-                worker="remote",
-                attempt=self._attempts.get(shard_index, 1),
-            )
-            if self.complete(lease, payload):
-                finish(shard, payload)
+            finish(pending.pop(shard_index), payload)
             progressed = True
         return progressed
 
@@ -791,12 +797,6 @@ class BrokerTransport(ShardTransport):
                 os.getpid(),
                 None,
             )
-            lease = ShardLease(
-                shard=shard,
-                worker=self.worker_id,
-                attempt=self._attempts[shard_index],
-            )
-            self._leases[shard_index] = lease
             try:
                 outcomes = runner(shard)
             except SweepPointError as error:
@@ -820,12 +820,11 @@ class BrokerTransport(ShardTransport):
             finally:
                 self.broker.release_lease(shard_index)
             # Publish for lingering workers' exit checks, then merge
-            # directly (complete() makes any duplicate harmless).
+            # directly: popping the shard from ``pending`` means a
+            # duplicate fragment is never consumed.
             self.broker.write_outcomes(
                 shard_index, outcomes, self.worker_id, sweep_id
             )
-            pending.pop(shard_index)
-            if self.complete(lease, outcomes):
-                finish(shard, outcomes)
+            finish(pending.pop(shard_index), outcomes)
             return True
         return False

@@ -55,7 +55,7 @@ from typing import (
 from ..api.execution import SessionPool, execute_points, merge_key
 from ..api.experiment import get_experiment_spec
 from ..api.results import ExperimentResult, SweepResult, _jsonify
-from ..api.sweep import SweepPoint, run_sweep
+from ..api.sweep import SweepPoint, build_grid, run_sweep
 from ..dist import transport_class
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import resolve_cycle_model_engine
@@ -331,50 +331,45 @@ class _Pending:
 _SHUTDOWN = object()  # queue sentinel terminating the dispatch thread
 
 
-def _validate_sweep_names(kwargs: Mapping[str, Any]) -> None:
-    """Check the named fields of a sweep request before it is submitted.
+#: The :func:`~repro.api.sweep.run_sweep` arguments that shape the grid.
+_GRID_FIELDS = (
+    "experiments", "models", "configs", "seeds", "params_by_experiment",
+    "engine",
+)
 
-    A client's unknown or mistyped experiment id, config preset, workload,
-    engine or transport is a :class:`RequestValidationError` (HTTP 400),
-    not a sweep failure: ``experiments`` / ``configs`` / ``models`` must be
-    lists of strings and ``engine`` / ``transport`` strings, each naming an
-    entry of its table (``null`` keeps the default where there is one).
+
+def _validate_sweep_request(kwargs: Mapping[str, Any]) -> None:
+    """Check a sweep request's grid and transport before it is submitted.
+
+    A client's mistake -- an unknown or mistyped experiment, config
+    preset, workload, seed, engine, experiment parameter or transport --
+    is a :class:`RequestValidationError` (HTTP 400), not a sweep failure.
+    The grid-shaping fields go through :func:`~repro.api.sweep.build_grid`
+    itself, in the caller's thread, so the service accepts exactly the
+    grids a sweep accepts; ``transport`` must be a string naming an entry
+    of :data:`repro.dist.TRANSPORTS` (``null`` keeps the default).
 
     Raises:
         RequestValidationError: naming the offending field or value.
     """
-    from ..api.configs import get_config
-    from ..workloads.models import get_workload
-
-    fields = (
-        # (field, lookup, error the lookup raises, list-valued, nullable)
-        ("experiments", get_experiment_spec, KeyError, True, True),
-        ("configs", get_config, KeyError, True, False),
-        ("models", get_workload, KeyError, True, True),
-        ("engine", resolve_cycle_model_engine, ValueError, False, False),
-        ("transport", transport_class, ValueError, False, True),
-    )
-    for name, lookup, errors, many, nullable in fields:
-        if name not in kwargs or (nullable and kwargs[name] is None):
-            continue
-        value = kwargs[name]
-        values = value if many else [value]
-        if not isinstance(values, (list, tuple)) or not all(
-            isinstance(item, str) for item in values
-        ):
-            kind = "a list of strings" if many else "a string"
+    transport = kwargs.get("transport")
+    if transport is not None:
+        if not isinstance(transport, str):
             raise RequestValidationError(
-                f"sweep field {name!r} must be {kind}"
+                "sweep field 'transport' must be a string"
             )
-        if name == "models" and not values:
-            raise RequestValidationError(
-                "empty model list; omit 'models' to sweep every workload"
-            )
-        for item in values:
-            try:
-                lookup(item)
-            except errors as error:
-                raise RequestValidationError(str(error.args[0])) from None
+        try:
+            transport_class(transport)
+        except ValueError as error:
+            raise RequestValidationError(str(error)) from None
+    try:
+        build_grid(
+            **{name: kwargs[name] for name in _GRID_FIELDS if name in kwargs}
+        )
+    except KeyError as error:
+        raise RequestValidationError(str(error.args[0])) from None
+    except (TypeError, ValueError) as error:
+        raise RequestValidationError(str(error)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +589,9 @@ class ExperimentService:
         Raises:
             ServiceClosedError: the service is stopping or stopped.
             RequestValidationError: unknown sweep parameter name, or an
-                unknown or mistyped experiment, config, model, engine or
-                transport (see :func:`_validate_sweep_names`).
+                unknown or mistyped experiment, config, model, seed,
+                engine, experiment parameter or transport (see
+                :func:`_validate_sweep_request`).
         """
         if not self._started or self._closing:
             raise ServiceClosedError("service is not accepting requests")
@@ -611,7 +607,7 @@ class ExperimentService:
                 f"unknown sweep parameters {sorted(unknown)}; "
                 f"allowed: {sorted(allowed)}"
             )
-        _validate_sweep_names(kwargs)
+        _validate_sweep_request(kwargs)
         with self._lock:
             if self._closing:
                 raise ServiceClosedError("service is not accepting requests")

@@ -54,6 +54,58 @@ class TestGrid:
         with pytest.raises(ValueError, match="empty model list"):
             build_grid(experiments=("fig7",), models=())
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(experiments="table4"), "'experiments' must be a list"),
+            (dict(models="alexnet"), "'models' must be a list"),
+            (dict(configs="paper-28nm"), "'configs' must be a list"),
+            (dict(configs=[1]), "'configs' must be a list of strings"),
+            (dict(seeds=["a"]), "'seeds' must be a list of integers"),
+            (dict(seeds=0), "'seeds' must be a list of integers"),
+            (dict(engine=None), "'engine' must be a string"),
+            (
+                dict(params_by_experiment={"table4": {"wat": 1}}),
+                "'params_by_experiment': experiment 'table4' got "
+                "unexpected parameters ['wat']",
+            ),
+            (
+                dict(params_by_experiment={"table4": 1}),
+                "'params_by_experiment' must map",
+            ),
+        ],
+    )
+    def test_mistyped_fields_rejected_naming_the_field(self, kwargs, message):
+        kwargs = {"experiments": ("table4",), **kwargs}
+        with pytest.raises(TypeError) as info:
+            build_grid(**kwargs)
+        assert message in str(info.value)
+
+    def test_unknown_experiment_parameter_fails_before_running(
+        self, monkeypatch
+    ):
+        import repro.api.sweep as sweep_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sweep_module, "run_shard", never)
+        with pytest.raises(TypeError, match="unexpected parameters"):
+            run_sweep(
+                transport="serial",
+                experiments=("fig7",),
+                models=("alexnet",),
+                params_by_experiment={"fig7": {"wat": 1}},
+            )
+
+    def test_experiment_parameters_apply_case_insensitively(self):
+        (point,) = build_grid(
+            experiments=("fig2b",),
+            models=("alexnet",),
+            params_by_experiment={"FIG2B": {"group_sizes": [1, 8]}},
+        )
+        assert point.params["group_sizes"] == [1, 8]
+
     def test_cache_key_depends_on_config_contents_and_seed(self):
         point = SweepPoint(experiment="table4")
         assert point.cache_key() == SweepPoint(experiment="table4").cache_key()

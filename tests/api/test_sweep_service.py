@@ -77,8 +77,11 @@ class TestShardPlanner:
         run_point(grid[0], cache_dir=tmp_path)
         plan = ShardPlanner(cache_dir=tmp_path, shards=4).plan(grid)
         assert plan.warm_points == 1 and plan.cold_points == len(grid) - 1
-        warm = [s for s in plan.shards if s.warm]
-        assert len(warm) == 1 and warm[0].points == (grid[0],)
+        # Warm points are restored by the coordinator, never sharded.
+        assert plan.warm == (0,)
+        assert sorted(i for s in plan.shards for i in s.indices) == list(
+            range(1, len(grid))
+        )
 
     def test_journaled_keys_excluded_from_shards(self):
         grid = build_grid(**GRID_KWARGS)
@@ -247,6 +250,8 @@ class TestExecutorEquality:
             transport="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
         )
         assert warm.cache_hits == len(warm.results) and warm.cache_misses == 0
+        # A fully warm re-run executes no shard: the coordinator restores it.
+        assert warm.stats.shards == 0 and cold.stats.shards > 0
         assert warm.results == cold.results
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
@@ -579,17 +584,25 @@ class TestJournalLock:
         finally:
             holder.release()
 
-    def test_run_sweep_releases_lock_even_on_failure(self, tmp_path):
+    def test_run_sweep_releases_lock_even_on_failure(
+        self, tmp_path, monkeypatch
+    ):
         journal = tmp_path / "sweep.jsonl"
         sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
         assert sweep.results
         assert not SweepJournal(journal).lock_path.exists()
+        real_experiment = execution_module.Experiment
+
+        class Exploding(real_experiment):
+            def run(self, experiment, **params):
+                raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(execution_module, "Experiment", Exploding)
         with pytest.raises(SweepPointError):
             run_sweep(
                 transport="serial",
                 journal=tmp_path / "bad.jsonl",
                 experiments=("fig7",),
                 models=("alexnet",),
-                params_by_experiment={"fig7": {"wat": 1}},
             )
         assert not SweepJournal(tmp_path / "bad.jsonl").lock_path.exists()

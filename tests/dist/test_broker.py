@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.api import run_sweep
-from repro.api.sweep import SweepShard, build_grid
+from repro.api.sweep import ShardPlanner, SweepShard, build_grid
 from repro.dist.broker import (
     BrokerTransport,
     DirectoryBroker,
@@ -460,9 +460,14 @@ class TestWorkerProcesses:
         finally:
             victim.communicate(timeout=120)
         assert victim.returncode == -signal.SIGKILL
-        assert excinfo.value.attempts == 1
-        assert f"shard {excinfo.value.shard_index}" in str(excinfo.value)
-        assert excinfo.value.point_indices  # the shard's grid points
+        lost = excinfo.value
+        assert lost.attempts == 1
+        assert f"shard {lost.shard_index} was lost 1 times" in str(lost)
+        assert "max_attempts=1" in str(lost)
+        # The error carries the lost shard's grid points, as planned.
+        plan = ShardPlanner(shards=3).plan(build_grid(**GRID_KWARGS))
+        (shard,) = [s for s in plan.shards if s.index == lost.shard_index]
+        assert lost.point_indices == shard.indices
         # Even a failed sweep drops the stop sentinel so workers exit.
         assert (sweep_dir / "STOP").exists()
 

@@ -1,5 +1,5 @@
-"""Tests for the :class:`ShardTransport` protocol, the fixed transport
-table, and the ``transport=`` knob of :func:`repro.api.run_sweep`.
+"""Tests for the :class:`ShardTransport` protocol (one ``run``), the fixed
+transport table, and the ``transport=`` knob of :func:`repro.api.run_sweep`.
 
 ``stats.executor`` must keep carrying the transport name the field always
 carried.
@@ -8,86 +8,16 @@ carried.
 import pytest
 
 from repro.api import run_sweep
-from repro.api.sweep import DEFAULT_TRANSPORT, SweepShard, _create_transport
+from repro.api.sweep import DEFAULT_TRANSPORT, _create_transport
 from repro.dist import (
     TRANSPORTS,
     BrokerTransport,
     ShardTransport,
-    ThreadTransport,
-    WorkerLostError,
     transport_class,
     transport_names,
 )
 
 GRID_KWARGS = dict(experiments=("table4",), models=("alexnet",))
-
-
-def _shard(index, *, indices=(0,)):
-    return SweepShard(index=index, indices=tuple(indices), points=())
-
-
-class TestLeaseLifecycle:
-    def test_lease_complete_roundtrip(self):
-        transport = ShardTransport()
-        transport.submit([_shard(0), _shard(1, indices=(1,))])
-        assert transport.outstanding() == 2
-        lease = transport.lease(worker="w0")
-        assert lease.shard.index == 0
-        assert lease.attempt == 1
-        assert transport.attempts(0) == 1
-        assert transport.complete(lease, [(0, "r", False)])
-        assert transport.outstanding() == 1
-
-    def test_duplicate_completion_is_idempotent(self):
-        transport = ShardTransport()
-        transport.submit([_shard(0)])
-        first = transport.lease(worker="w0")
-        assert transport.complete(first, [(0, "r", False)]) is True
-        # A worker wrongly presumed dead finishes anyway: dropped.
-        assert transport.complete(first, [(0, "r", False)]) is False
-
-    def test_requeue_returns_shard_to_queue(self):
-        transport = ShardTransport(max_attempts=3)
-        transport.submit([_shard(7, indices=(3, 4))])
-        lease = transport.lease(worker="doomed")
-        transport.requeue(lease)
-        assert transport.attempts(7) == 1
-        retry = transport.lease(worker="second")
-        assert retry.shard.index == 7
-        assert retry.attempt == 2
-
-    def test_requeue_after_completion_is_a_noop(self):
-        transport = ShardTransport(max_attempts=1)
-        transport.submit([_shard(0)])
-        lease = transport.lease(worker="w0")
-        transport.complete(lease, [(0, "r", False)])
-        # Even at the retry cap, a completed shard never raises.
-        transport.requeue(lease)
-        assert transport.outstanding() == 0
-
-    def test_retry_budget_surfaces_typed_error_naming_shard(self):
-        transport = ShardTransport(max_attempts=2)
-        transport.submit([_shard(5, indices=(10, 11))])
-        transport.requeue(transport.lease(worker="w0"))
-        lease = transport.lease(worker="w1")
-        with pytest.raises(WorkerLostError, match="shard 5 was lost 2 times") as excinfo:
-            transport.requeue(lease)
-        assert excinfo.value.shard_index == 5
-        assert excinfo.value.attempts == 2
-        assert excinfo.value.point_indices == (10, 11)
-        assert "max_attempts=2" in str(excinfo.value)
-
-    def test_max_attempts_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            ShardTransport(max_attempts=0)
-
-    def test_heartbeat_refreshes_stamp(self):
-        transport = ShardTransport()
-        transport.submit([_shard(0)])
-        lease = transport.lease()
-        before = lease.heartbeat_at
-        transport.heartbeat(lease)
-        assert lease.heartbeat_at >= before
 
 
 class TestTransportTable:
@@ -119,10 +49,29 @@ class TestTransportTable:
         ):
             _create_transport("serial", None, {"lease_ttl_s": 5.0})
 
-    def test_create_passes_valid_options(self):
-        transport = _create_transport("thread", None, {"max_attempts": 7})
-        assert isinstance(transport, ThreadTransport)
+    def test_create_passes_valid_options(self, tmp_path):
+        transport = _create_transport("broker", tmp_path, {"max_attempts": 7})
+        assert isinstance(transport, BrokerTransport)
         assert transport.max_attempts == 7
+
+    def test_max_attempts_is_broker_only(self):
+        # An in-process pool cannot lose a shard, so a retry budget is
+        # meaningless there and rejected instead of silently ignored.
+        with pytest.raises(
+            ValueError, match="invalid options for transport 'thread'"
+        ):
+            _create_transport("thread", None, {"max_attempts": 2})
+
+    def test_max_attempts_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="max_attempts"):
+            BrokerTransport(sweep_dir=tmp_path, max_attempts=0)
+
+    def test_protocol_is_one_run_method(self):
+        assert {
+            name for name in vars(ShardTransport) if not name.startswith("_")
+        } == {"name", "distributed", "run"}
+        with pytest.raises(NotImplementedError):
+            ShardTransport().run([], None, None, 1)
 
 
 class TestRunSweepTransportKnob:

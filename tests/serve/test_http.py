@@ -142,6 +142,11 @@ class TestEndpoints:
             ({"engine": None}, "'engine' must be a string"),
             ({"experiments": "table4"}, "'experiments' must be a list"),
             ({"configs": [1]}, "'configs' must be a list of strings"),
+            ({"seeds": ["a"]}, "'seeds' must be a list of integers"),
+            (
+                {"params_by_experiment": {"table4": {"wat": 1}}},
+                "experiment 'table4' got unexpected parameters ['wat']",
+            ),
         ],
     )
     def test_sweep_client_mistakes_map_to_400(self, server, body, message):
@@ -154,9 +159,8 @@ class TestEndpoints:
         assert reply["error"]["type"] == "RequestValidationError"
         assert message in reply["error"]["message"]
         assert not reply["error"]["message"].startswith(("'", '"'))
-        assert after.get("sweep_failures_total", 0) == before.get(
-            "sweep_failures_total", 0
-        )
+        for counter in ("sweeps_total", "sweep_failures_total"):
+            assert after.get(counter, 0) == before.get(counter, 0)
 
     def test_sweep_accepts_named_transport(self, server):
         status, body = post(
