@@ -34,7 +34,7 @@ import argparse
 import difflib
 import json
 import sys
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence, TextIO
 
 from ..dist import TRANSPORTS, transport_names
 from ..sim.cycle_model import DEFAULT_ENGINE, ENGINES
@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--json", default=None, metavar="PATH",
-        help="also write the typed result as JSON ('-' for stdout)",
+        help="also write the typed result as JSON ('-' for stdout, which "
+        "then carries only the JSON; the table goes to stderr)",
     )
     run_parser.add_argument(
         "--quiet", action="store_true", help="suppress the formatted table"
@@ -257,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--json", default=None, metavar="PATH",
-        help="also write the sweep result as JSON ('-' for stdout)",
+        help="also write the sweep result as JSON ('-' for stdout, which "
+        "then carries only the JSON; the tables go to stderr)",
     )
     sweep_parser.add_argument(
         "--quiet", action="store_true", help="suppress the formatted tables"
@@ -335,6 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the per-shard progress lines",
     )
     return parser
+
+
+def _human_stream(json_destination: Optional[str]) -> TextIO:
+    """Where the formatted tables go: stderr when the JSON takes stdout,
+    so ``--json -`` prints nothing but JSON."""
+    return sys.stderr if json_destination == "-" else sys.stdout
 
 
 def _emit_json(payload: str, destination: str) -> None:
@@ -452,8 +460,9 @@ def _command_run(args: argparse.Namespace) -> int:
         params["models"] = _validate(session._resolve_models, params["models"])
     result = session.run(spec.id, **params)
     if not args.quiet:
-        print(f"=== {spec.reference}: {spec.title} ===")
-        print(format_result(result))
+        human = _human_stream(args.json)
+        print(f"=== {spec.reference}: {spec.title} ===", file=human)
+        print(format_result(result), file=human)
     if args.json is not None:
         _emit_json(result.to_json(), args.json)
     return 0
@@ -508,7 +517,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         sweep_dir=args.sweep_dir,
     )
     if not args.quiet:
-        print(format_sweep(sweep))
+        print(format_sweep(sweep), file=_human_stream(args.json))
     if args.json is not None:
         _emit_json(sweep.to_json(), args.json)
     return 0

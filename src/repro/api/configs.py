@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..arch.config import BufferConfig, ClockConfig, DBPIMConfig, MacroConfig
 from ..core.fta import FTAConfig
@@ -110,18 +110,38 @@ def config_to_dict(config: ConfigLike = None) -> Dict[str, Any]:
     return dataclasses.asdict(get_config(config))
 
 
+#: Digests already computed, keyed by the identities of the resolved
+#: (configuration, FTA configuration) objects.  Each entry holds both
+#: objects, so their ids cannot be reused while it lives.  A preset
+#: re-registered with new contents is a new object, so it never meets a
+#: stale digest; equality would not do as a key, since ``500 == 500.0`` yet
+#: the two serialise (and so digest) differently.
+_DIGESTS: Dict[Tuple[int, int], Tuple[DBPIMConfig, Optional[FTAConfig], str]] = {}
+_DIGESTS_MAX = 1024
+
+
 def config_digest(config: ConfigLike = None, fta_config: Optional[FTAConfig] = None) -> str:
     """Stable SHA-256 content hash of a configuration (hex digest).
 
     The digest covers every field of the hardware configuration and, when
     given, the FTA configuration -- it is the cache key component that makes
     the sweep runner's on-disk cache safe across configuration changes.
+    Digests are memoised per configuration object.
     """
-    payload: Dict[str, Any] = {"dbpim": config_to_dict(config)}
+    resolved = get_config(config)
+    memo_key = (id(resolved), id(fta_config))
+    entry = _DIGESTS.get(memo_key)
+    if entry is not None:
+        return entry[2]
+    payload: Dict[str, Any] = {"dbpim": dataclasses.asdict(resolved)}
     if fta_config is not None:
         payload["fta"] = dataclasses.asdict(fta_config)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if len(_DIGESTS) >= _DIGESTS_MAX:
+        _DIGESTS.clear()
+    _DIGESTS[memo_key] = (resolved, fta_config, digest)
+    return digest
 
 
 def build_dbpim_config(

@@ -2,13 +2,17 @@
 
 :func:`execute_points` turns a batch of grid points into results: it
 dedupes them by cache key, restores what the :class:`~repro.store.ResultStore`
-already holds in one batched read, merges the remaining single-session
-points of one mergeable experiment into one batched
+already holds in one batched read, computes each distinct
+:meth:`~repro.api.sweep.SweepPoint.input_key` of the rest once (points
+that differ only in inputs their experiment does not read -- ``fig2b`` on
+five presets -- share one run, and each gets the result labelled with its
+own configuration), merges the runs of one mergeable experiment that read
+the same inputs into one batched
 :meth:`~repro.api.experiment.Experiment.run` (split back per point,
 bitwise identical to point-at-a-time execution because the vectorized
-kernel is elementwise per layer), falls back to per-point runs when a
-merge fails, returns per-point failures as values, and persists the fresh
-results in one best-effort batched append.
+kernel is elementwise per layer), falls back to per-point runs with a
+:class:`RuntimeWarning` when a merge fails, returns per-point failures as
+values, and persists the fresh results in one best-effort batched append.
 
 Callers differ only in what surrounds the core: :func:`repro.api.sweep.run_shard`
 (every transport and ``repro worker``) runs it without a store and turns a
@@ -19,6 +23,7 @@ failure into a ``RunFailedError``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import warnings
@@ -35,6 +40,7 @@ from typing import (
 )
 
 from ..store import PackedStoreLockedError, ResultStore
+from .configs import config_name
 from .experiment import EXPERIMENTS, Experiment
 from .results import ExperimentResult
 
@@ -47,6 +53,7 @@ __all__ = [
     "append_results",
     "execute_points",
     "merge_key",
+    "stamp_config",
 ]
 
 #: Experiments whose points may be merged into one batched
@@ -168,7 +175,8 @@ def _run_merged(
     session: Experiment, members: Sequence[Tuple[str, "SweepPoint"]]
 ) -> Optional[Dict[str, ExperimentResult]]:
     """Run a bucket as one batched call and split the rows back per point
-    (by each point's model count), or ``None`` when the merged run fails."""
+    (by each point's model count), or ``None`` -- after a
+    :class:`RuntimeWarning` naming the error -- when the merged run fails."""
     first = members[0][1]
     counts = [len(point.params["models"]) for _, point in members]
     params = dict(first.params)
@@ -182,7 +190,14 @@ def _run_merged(
                 f"merged run returned {len(combined.rows)} rows for "
                 f"{len(params['models'])} models"
             )
-    except Exception:
+    except Exception as error:
+        warnings.warn(
+            f"merged {first.experiment!r} run of {len(members)} points "
+            f"failed ({type(error).__name__}: {error}); re-running them "
+            "point by point",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return None
     resolved = list(combined.params["models"])
     split: Dict[str, ExperimentResult] = {}
@@ -201,6 +216,25 @@ def _run_merged(
     return split
 
 
+def stamp_config(result: Outcome, point: "SweepPoint") -> Outcome:
+    """``result`` labelled with ``point``'s configuration, as a run on that
+    configuration labels it.
+
+    Only a result of an experiment that does not read the configuration
+    can carry another preset's label; every other result, and a failure,
+    passes through unchanged.
+    """
+    if (
+        isinstance(result, Exception)
+        or "config" in EXPERIMENTS[point.experiment].reads
+    ):
+        return result
+    name = config_name(point.config)
+    if result.config == name:
+        return result
+    return dataclasses.replace(result, config=name)
+
+
 def execute_points(
     points: Sequence["SweepPoint"],
     sessions: SessionPool,
@@ -209,10 +243,13 @@ def execute_points(
     """Execute (or restore) a batch of grid points.
 
     Steps: dedupe by cache key; one ``store.get_many`` for every distinct
-    key; bucket the misses by (session, merge key); one merged run per
-    bucket of several mergeable points, falling back to per-point runs if
-    it fails; per-point failures kept as values; one best-effort
-    ``store.append_many`` of the fresh results.
+    key; one computation per distinct input key of the misses; bucket
+    those by (merge key, seed, inputs read); one merged run per bucket of
+    several mergeable points, falling back to per-point runs (with a
+    :class:`RuntimeWarning`) if it fails; per-point failures kept as
+    values; every point sharing an input key gets the computed result
+    labelled with its own configuration (:func:`stamp_config`); one
+    best-effort ``store.append_many`` of the fresh results.
 
     Args:
         points: the grid points (duplicates are computed once).
@@ -228,12 +265,16 @@ def execute_points(
         results.update(store.get_many(unique))
     hits = frozenset(results)
 
-    buckets: Dict[Tuple, List[Tuple[str, "SweepPoint"]]] = {}
+    # input key -> [(cache key, point)]; the first member is computed.
+    shared: Dict[str, List[Tuple[str, "SweepPoint"]]] = {}
     for key, point in unique.items():
-        if key in hits:
-            continue
+        if key not in hits:
+            shared.setdefault(point.input_key(), []).append((key, point))
+    buckets: Dict[object, List[Tuple[str, "SweepPoint"]]] = {}
+    for members in shared.values():
+        key, point = members[0]
         merge = merge_key(point)
-        bucket = (point.config, point.seed, point.engine, merge or key)
+        bucket = (merge, point.seed, point.read_inputs()) if merge else key
         buckets.setdefault(bucket, []).append((key, point))
     fallbacks = 0
     for members in buckets.values():
@@ -247,6 +288,10 @@ def execute_points(
             fallbacks += 1  # localise the failure point by point
         for key, point in members:
             results[key] = _run_single(session, point)
+    for members in shared.values():
+        computed = results[members[0][0]]
+        for key, point in members:
+            results[key] = stamp_config(computed, point)
 
     skipped = 0
     if store is not None:

@@ -93,6 +93,7 @@ from .results import (
 __all__ = [
     "DEFAULT_SEED",
     "MAX_LAYERS_SAMPLED",
+    "EXPERIMENT_INPUTS",
     "ExperimentSpec",
     "EXPERIMENTS",
     "get_experiment_spec",
@@ -111,6 +112,12 @@ DEFAULT_SEED = 0
 #: regeneration fast while still averaging over early/middle/late layers).
 MAX_LAYERS_SAMPLED = 6
 
+#: The session inputs an experiment may read besides its seed and
+#: parameters: the hardware configuration, the cycle-model engine, the FTA
+#: configuration and the IPU profiling group size (see
+#: :attr:`ExperimentSpec.reads`).
+EXPERIMENT_INPUTS = ("config", "engine", "fta_config", "input_group")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -128,6 +135,10 @@ class ExperimentSpec:
         defaults: canonical default parameters (merged under caller-supplied
             parameters so identical runs hash identically in the sweep cache).
         heavy: True when the experiment trains networks (minutes-scale).
+        reads: the :data:`EXPERIMENT_INPUTS` the rows depend on.  Every
+            experiment reads its seed and parameters; an input left out
+            must not change a single byte of the rows, so results may be
+            shared across it (pinned by ``tests/api/test_reads.py``).
     """
 
     id: str
@@ -138,6 +149,15 @@ class ExperimentSpec:
     aggregates_models: bool = False
     defaults: Tuple[Tuple[str, Any], ...] = ()
     heavy: bool = False
+    reads: Tuple[str, ...] = EXPERIMENT_INPUTS
+
+    def __post_init__(self) -> None:
+        unknown = set(self.reads) - set(EXPERIMENT_INPUTS)
+        if unknown:
+            raise ValueError(
+                f"experiment {self.id!r} declares unknown inputs "
+                f"{sorted(unknown)}; known: {list(EXPERIMENT_INPUTS)}"
+            )
 
     @property
     def default_params(self) -> Dict[str, Any]:
@@ -169,6 +189,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             title="zero-bit ratio of INT8 weights (binary / CSD / CSD+FTA)",
             runner="weight_sparsity",
             takes_models=True,
+            reads=(),
         ),
         ExperimentSpec(
             id="fig2b",
@@ -177,6 +198,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             runner="input_sparsity",
             takes_models=True,
             defaults=(("group_sizes", (1, 8, 16)),),
+            reads=(),
         ),
         ExperimentSpec(
             id="fig7",
@@ -190,6 +212,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             reference="Table 1",
             title="sparsity-exploitation comparison among SRAM-PIM designs",
             runner="related_work",
+            reads=("config",),
         ),
         ExperimentSpec(
             id="table2",
@@ -199,6 +222,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             takes_models=True,
             defaults=(("epochs", 10), ("qat_epochs", 2)),
             heavy=True,
+            reads=("fta_config",),
         ),
         ExperimentSpec(
             id="table3",
@@ -213,6 +237,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             reference="Table 4",
             title="area breakdown of DB-PIM",
             runner="area",
+            reads=("config",),
         ),
         ExperimentSpec(
             id="program",
@@ -229,6 +254,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "SIMD ops and feature-buffer residency",
             runner="graph_report",
             takes_models=True,
+            reads=(),
         ),
     )
 }

@@ -203,6 +203,55 @@ class SweepPoint:
             object.__setattr__(self, "_cache_key", memo)
         return memo
 
+    def read_inputs(self) -> Tuple[Tuple[str, Any], ...]:
+        """The point's values of the inputs its experiment reads.
+
+        One ``(name, value)`` pair per name in the spec's
+        :attr:`~repro.api.experiment.ExperimentSpec.reads`: the
+        configuration digest, the engine name and the IPU group size (the
+        configuration's).  A point carries no FTA configuration -- every
+        point runs the default one -- so ``fta_config`` adds nothing.
+        """
+        reads = get_experiment_spec(self.experiment).reads
+        values: List[Tuple[str, Any]] = []
+        if "config" in reads:
+            values.append(("config", config_digest(get_config(self.config))))
+        if "engine" in reads:
+            values.append(("engine", self.engine))
+        if "input_group" in reads:
+            values.append(
+                ("input_group", get_config(self.config).macro.input_group)
+            )
+        return tuple(values)
+
+    def input_key(self) -> str:
+        """Hash of what this point's result is computed from.
+
+        Covers the experiment id, canonical parameters, seed and
+        :meth:`read_inputs` -- so points that differ only in inputs their
+        experiment does not read (``fig2b`` on two presets) share one
+        input key and one computation; each point's result is then
+        labelled with its own configuration.  For an experiment that reads
+        the configuration the input key *is* the :meth:`cache_key`: the
+        engine is the only other input that key covers, and sharing such
+        a result across engines is not worth a second hash per point.
+        In-memory only: never written to the store or the journal.
+        Memoized like :meth:`cache_key`.
+        """
+        memo = self.__dict__.get("_input_key")
+        if memo is None:
+            if "config" in get_experiment_spec(self.experiment).reads:
+                memo = self.cache_key()
+            else:
+                canonical = json.dumps(
+                    [self.experiment, self.params, self.seed, self.read_inputs()],
+                    sort_keys=True,
+                    separators=(",", ":"),
+                )
+                memo = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_input_key", memo)
+        return memo
+
 
 class SweepPointError(RuntimeError):
     """One grid point failed; carries the offending :class:`SweepPoint`.
@@ -557,10 +606,12 @@ class ShardPlanner:
        workload-profile cache across its per-config sessions
        (:class:`~repro.api.execution.SessionPool`) -- and each group is
        chunked into shards of roughly ``cold total / shards`` points, at
-       *profile* boundaries: every cold single-model point of one model
-       whose experiment profiles it lands in one shard, so each distinct
-       workload profile is computed once per sweep (see
-       :func:`_profile_bundles`).  Every other point chunks in grid order.
+       *profile* and *input* boundaries: every cold single-model point of
+       one model whose experiment profiles it lands in one shard, so each
+       distinct workload profile is computed once per sweep, and cold
+       points sharing an input key (:meth:`SweepPoint.input_key`) land in
+       one shard, so each distinct input is computed once per sweep (see
+       :func:`_profile_bundles`).  Bundles chunk in grid order.
 
     The warm/cold split costs ONE batched
     :meth:`~repro.store.ResultStore.probe` for the whole grid, not one
@@ -679,29 +730,31 @@ _PROFILING_EXPERIMENTS = frozenset({"fig7", "table3", "program"})
 def _profile_bundles(
     members: Sequence[Tuple[int, SweepPoint]]
 ) -> List[List[Tuple[int, SweepPoint]]]:
-    """Cold points bundled by the workload profile they need.
+    """Cold points bundled by the workload profile or the input they need.
 
     Every single-model point of a profiling experiment joins the bundle of
-    its model (opened at the model's first appearance), so one shard runs
-    all of those cold points and its sessions profile the model once; every
-    other point stays a single-point bundle, in grid order.
+    its model, so one shard runs all of those cold points and its sessions
+    profile the model once; every other point joins the bundle of its
+    :meth:`~SweepPoint.input_key`, so points sharing one computation land
+    in one shard, where :func:`~repro.api.execution.execute_points`
+    computes it once.  Bundles open at their first point, in grid order.
     """
     bundles: List[List[Tuple[int, SweepPoint]]] = []
-    by_model: Dict[str, List[Tuple[int, SweepPoint]]] = {}
+    by_need: Dict[Tuple[str, str], List[Tuple[int, SweepPoint]]] = {}
     for index, point in members:
         models = point.params.get("models")
         if (
-            point.experiment not in _PROFILING_EXPERIMENTS
-            or not isinstance(models, list)
-            or len(models) != 1
+            point.experiment in _PROFILING_EXPERIMENTS
+            and isinstance(models, list)
+            and len(models) == 1
         ):
-            bundles.append([(index, point)])
-            continue
-        model = str(models[0]).lower()
-        if model not in by_model:
-            by_model[model] = []
-            bundles.append(by_model[model])
-        by_model[model].append((index, point))
+            need = ("model", str(models[0]).lower())
+        else:
+            need = ("input", point.input_key())
+        if need not in by_need:
+            by_need[need] = []
+            bundles.append(by_need[need])
+        by_need[need].append((index, point))
     return bundles
 
 

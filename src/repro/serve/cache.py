@@ -2,11 +2,15 @@
 
 The sweep service already has a content-hash *on-disk* cache
 (``repro.api.sweep``); the serve daemon layers this in-process cache on top
-of it so repeated identical requests -- the common case for a dashboard
-polling a handful of configurations -- are answered without touching the
-disk or the simulator.  Keys are the same
-:meth:`repro.api.sweep.SweepPoint.cache_key` content hashes the disk cache
-uses, so the two layers can never disagree about identity.
+of it so repeated requests -- the common case for a dashboard polling a
+handful of configurations -- are answered without touching the disk or
+the simulator.  The daemon keys it by
+:meth:`repro.api.sweep.SweepPoint.input_key`, which hashes only the inputs
+the experiment reads: requests that differ only in a configuration their
+experiment ignores (``fig2b`` on two presets) share one entry, and the
+daemon labels a hit with the requested configuration.  The disk cache
+keeps the finer :meth:`~repro.api.sweep.SweepPoint.cache_key`.  The cache
+itself is a plain key-value store and knows neither key.
 
 Entries expire after a TTL (results are deterministic, but the TTL bounds
 memory held for one-off requests and lets operators reason about staleness

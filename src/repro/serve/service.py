@@ -19,8 +19,9 @@ module keeps all of that warm in one long-lived service:
   (:mod:`repro.serve.http`), the ``repro serve`` CLI, tests, benchmarks --
   submit from their own threads and block for the outcome;
 * :class:`HotResultCache` (see :mod:`repro.serve.cache`) layered over the
-  sweep service's content-hash disk cache, so repeated identical requests
-  never touch the simulator;
+  sweep service's content-hash disk cache and keyed by input key, so
+  repeated requests -- and requests that differ only in inputs their
+  experiment does not read -- never touch the simulator;
 * :class:`MetricsRegistry` (see :mod:`repro.serve.metrics`) recording
   request counts, queue depth, batch sizes, coalesce ratio, latency
   percentiles and cache hit rates.
@@ -28,8 +29,12 @@ module keeps all of that warm in one long-lived service:
 Request identity reuses :meth:`repro.api.sweep.SweepPoint.cache_key` -- the
 same content hash (experiment, canonical params, seed, engine, full config
 digest, schema/package versions) keying the on-disk sweep cache -- so the
-hot cache, the disk cache and the sweep service can never disagree about
-which requests are "the same experiment".
+disk cache and the sweep service can never disagree about which requests
+are "the same experiment".  The hot cache is keyed by the coarser
+:meth:`~repro.api.sweep.SweepPoint.input_key` (only the inputs the
+experiment reads), and a hit is labelled with the requested configuration
+(:func:`~repro.api.execution.stamp_config`), so a ``fig2b`` result
+computed on one preset answers the same request on every preset.
 """
 
 from __future__ import annotations
@@ -52,7 +57,12 @@ from typing import (
     Union,
 )
 
-from ..api.execution import SessionPool, execute_points, merge_key
+from ..api.execution import (
+    SessionPool,
+    execute_points,
+    merge_key,
+    stamp_config,
+)
 from ..api.experiment import get_experiment_spec
 from ..api.results import ExperimentResult, SweepResult, _jsonify
 from ..api.sweep import SweepPoint, build_grid, run_sweep
@@ -517,18 +527,21 @@ class ExperimentService:
         except RequestValidationError:
             self.metrics.increment("rejected_total")
             raise
-        # One SweepPoint per request: its memoized cache_key serves the hot
-        # cache, the disk cache and the journal without re-hashing.
+        # One SweepPoint per request: its memoized keys serve the hot cache
+        # (input key), the disk cache and the journal (cache key).
         point = request.point()
         key = point.cache_key()
-        cached = self.hot_cache.get(key)
+        cached = self.hot_cache.get(point.input_key())
         if cached is not None:
             self.metrics.increment("cache_hits")
             self.metrics.increment("requests_ok")
             latency = time.monotonic() - start
             self.metrics.observe("request", latency)
             return RunOutcome(
-                result=cached, cache_hit=True, batch_size=0, latency_s=latency
+                result=stamp_config(cached, point),
+                cache_hit=True,
+                batch_size=0,
+                latency_s=latency,
             )
         self.metrics.increment("cache_misses")
         timeout = request.timeout_s or self.config.default_timeout_s
@@ -727,7 +740,7 @@ class ExperimentService:
                     self.metrics.increment("failed_total")
                     pending.future.set_exception(outcome)
                 else:
-                    self.hot_cache.put(pending.key, outcome)
+                    self.hot_cache.put(pending.point.input_key(), outcome)
                     pending.future.set_result((outcome, len(live)))
 
     # -- synchronous execution (dispatch thread) ------------------------

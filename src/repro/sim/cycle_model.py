@@ -26,7 +26,7 @@ table of :mod:`repro.sim.engines` (see :data:`ENGINES`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __docformat__ = "numpy"
@@ -44,6 +44,7 @@ from .vectorized import (
 )
 
 __all__ = [
+    "ENERGY_COMPONENTS",
     "LayerPerformance",
     "ModelPerformance",
     "CycleModel",
@@ -91,53 +92,185 @@ class LayerPerformance:
         return self.effective_cell_activations / self.cell_activations
 
 
-@dataclass
+#: :class:`EnergyBreakdown` component names, in the order its ``total_pj``
+#: adds them.
+ENERGY_COMPONENTS: Tuple[str, ...] = tuple(
+    component.name for component in fields(EnergyBreakdown)
+)
+
+
 class ModelPerformance:
     """Aggregated performance of a whole workload under one configuration.
 
-    Attributes
+    The per-layer results are held as columns -- one list per quantity, in
+    network order -- so the totals a figure reads are sequential sums over
+    those lists.  The per-layer :class:`LayerPerformance` records are built
+    only when :attr:`layers` is first read.  Both engines return this type;
+    the scalar engine builds it from its layer records
+    (:meth:`from_layers`).
+
+    Parameters
     ----------
     name : str
         Workload name.
     variant : str
         The Fig. 7 configuration the numbers belong to (``"base"``,
         ``"input"``, ``"weight"`` or ``"hybrid"``).
-    layers : list of LayerPerformance
-        Per-layer results, in network order.
+    shapes : sequence of LayerShape
+        The layers, in network order.
+    cycles, cell_activations, effective_cell_activations : list of float
+        Per-layer columns of the :class:`LayerPerformance` fields of the
+        same names.
+    macs : list of int
+        Per-layer multiply-accumulates.
+    energy : dict of str to list of float
+        One per-layer column per :data:`ENERGY_COMPONENTS` name (pJ).
     """
 
-    name: str
-    variant: str
-    layers: List[LayerPerformance] = field(default_factory=list)
+    __slots__ = (
+        "name",
+        "variant",
+        "shapes",
+        "cycles",
+        "cell_activations",
+        "effective_cell_activations",
+        "macs",
+        "energy",
+        "_layers",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        variant: str,
+        shapes: Sequence[LayerShape],
+        cycles: List[float],
+        cell_activations: List[float],
+        effective_cell_activations: List[float],
+        macs: List[int],
+        energy: Dict[str, List[float]],
+    ) -> None:
+        self.name = name
+        self.variant = variant
+        self.shapes = tuple(shapes)
+        self.cycles = cycles
+        self.cell_activations = cell_activations
+        self.effective_cell_activations = effective_cell_activations
+        self.macs = macs
+        self.energy = energy
+        self._layers: Optional[Tuple[LayerPerformance, ...]] = None
+
+    @classmethod
+    def from_layers(
+        cls, name: str, variant: str, layers: Sequence[LayerPerformance]
+    ) -> "ModelPerformance":
+        """The columns of already-built per-layer records (kept as
+        :attr:`layers`)."""
+        performance = cls(
+            name,
+            variant,
+            [layer.layer for layer in layers],
+            [layer.cycles for layer in layers],
+            [layer.cell_activations for layer in layers],
+            [layer.effective_cell_activations for layer in layers],
+            [layer.macs for layer in layers],
+            {
+                component: [
+                    getattr(layer.energy, component) for layer in layers
+                ]
+                for component in ENERGY_COMPONENTS
+            },
+        )
+        performance._layers = tuple(layers)
+        return performance
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(name={self.name!r}, "
+            f"variant={self.variant!r}, layers={len(self.shapes)})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Equal name, variant and per-layer columns (the per-layer
+        records' equality, without building them)."""
+        if not isinstance(other, ModelPerformance):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.variant == other.variant
+            and self.shapes == other.shapes
+            and self.cycles == other.cycles
+            and self.cell_activations == other.cell_activations
+            and self.effective_cell_activations
+            == other.effective_cell_activations
+            and self.macs == other.macs
+            and self.energy == other.energy
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable columns
+
+    @property
+    def layers(self) -> Tuple[LayerPerformance, ...]:
+        """Per-layer results, in network order (built on first read)."""
+        if self._layers is None:
+            energy = [self.energy[component] for component in ENERGY_COMPONENTS]
+            self._layers = tuple(
+                LayerPerformance(
+                    layer=shape,
+                    cycles=cycles,
+                    cell_activations=cells,
+                    effective_cell_activations=effective,
+                    energy=EnergyBreakdown(*components),
+                    macs=macs,
+                )
+                for shape, cycles, cells, effective, macs, *components in zip(
+                    self.shapes,
+                    self.cycles,
+                    self.cell_activations,
+                    self.effective_cell_activations,
+                    self.macs,
+                    *energy,
+                )
+            )
+        return self._layers
 
     @property
     def total_cycles(self) -> float:
         """Broadcast cycles summed over every layer."""
-        return sum(layer.cycles for layer in self.layers)
+        return sum(self.cycles)
 
     @property
     def total_energy_pj(self) -> float:
-        """Energy summed over every layer, in pJ."""
-        return sum(layer.energy.total_pj for layer in self.layers)
+        """Energy summed over every layer, in pJ.
+
+        Each layer's total adds its components in
+        :data:`ENERGY_COMPONENTS` order, as ``EnergyBreakdown.total_pj``
+        does, so the result equals the per-layer records' sum bit for bit
+        (the inner ``sum``'s leading ``0`` can change only the sign of an
+        all-zero layer total, which the outer ``sum``'s leading ``0``
+        erases).
+        """
+        columns = [self.energy[component] for component in ENERGY_COMPONENTS]
+        return sum(map(sum, zip(*columns)))
 
     @property
     def total_macs(self) -> int:
         """Multiply-accumulates summed over every layer."""
-        return sum(layer.macs for layer in self.layers)
+        return sum(self.macs)
 
     @property
     def actual_utilization(self) -> float:
         """Model-level ``U_act``: effective / total cell activations."""
-        total = sum(layer.cell_activations for layer in self.layers)
-        effective = sum(layer.effective_cell_activations for layer in self.layers)
+        total = sum(self.cell_activations)
+        effective = sum(self.effective_cell_activations)
         return effective / total if total else 0.0
 
     def energy_breakdown(self) -> Dict[str, float]:
         """Component-wise energy of the whole model (pJ)."""
-        combined = EnergyBreakdown()
-        for layer in self.layers:
-            combined.merge(layer.energy)
-        return combined.as_dict()
+        return {
+            component: sum(self.energy[component], 0.0)
+            for component in ENERGY_COMPONENTS
+        }
 
 
 class CycleModel:
@@ -305,12 +438,11 @@ class CycleModel:
                 base_config, self.energy_model, engine="scalar"
             )
             return reference._run_model_scalar(profile, variant)
-        performance = ModelPerformance(
-            name=profile.workload.name, variant=variant
+        return ModelPerformance.from_layers(
+            profile.workload.name,
+            variant,
+            [self.run_layer(layer, variant) for layer in profile.layers],
         )
-        for layer_profile in profile.layers:
-            performance.layers.append(self.run_layer(layer_profile, variant))
-        return performance
 
     def run_all_variants(
         self, profile: ModelSparsityProfile
@@ -423,41 +555,38 @@ class CycleModel:
         job_arrays: Sequence[ProfileArrays],
         activity: BatchActivity,
     ) -> List[ModelPerformance]:
-        """Slice a batch back into per-job :class:`ModelPerformance`."""
+        """Slice a batch's columns back into per-job
+        :class:`ModelPerformance` records."""
         # ``.tolist()`` converts whole arrays to native Python scalars in C,
         # far cheaper than per-element indexing.
         cycles = activity.cycles.tolist()
         cells = activity.cell_activations.tolist()
         effective = activity.effective_cell_activations.tolist()
         macs = activity.macs.tolist()
-        energy_lists = {
-            name: values.tolist() for name, values in activity.energy.items()
+        energy = {
+            component: activity.energy[component].tolist()
+            for component in ENERGY_COMPONENTS
         }
         results: List[ModelPerformance] = []
-        offset = 0
+        start = 0
         for (profile, variant), arrays in zip(jobs, job_arrays):
-            performance = ModelPerformance(
-                name=profile.workload.name, variant=variant
+            stop = start + len(arrays)
+            results.append(
+                ModelPerformance(
+                    profile.workload.name,
+                    variant,
+                    arrays.layers,
+                    cycles[start:stop],
+                    cells[start:stop],
+                    effective[start:stop],
+                    macs[start:stop],
+                    {
+                        component: values[start:stop]
+                        for component, values in energy.items()
+                    },
+                )
             )
-            for index, layer in enumerate(arrays.layers, start=offset):
-                energy = EnergyBreakdown(
-                    **{
-                        name: values[index]
-                        for name, values in energy_lists.items()
-                    }
-                )
-                performance.layers.append(
-                    LayerPerformance(
-                        layer=layer,
-                        cycles=cycles[index],
-                        cell_activations=cells[index],
-                        effective_cell_activations=effective[index],
-                        energy=energy,
-                        macs=macs[index],
-                    )
-                )
-            offset += len(arrays)
-            results.append(performance)
+            start = stop
         return results
 
     # ------------------------------------------------------------------
@@ -475,9 +604,10 @@ class CycleModel:
             If the improved configuration reports zero (or negative)
             cycles.
         """
-        if improved.total_cycles <= 0:
+        cycles = improved.total_cycles
+        if cycles <= 0:
             raise ValueError("improved configuration reports zero cycles")
-        return baseline.total_cycles / improved.total_cycles
+        return baseline.total_cycles / cycles
 
     @staticmethod
     def energy_saving(
@@ -490,8 +620,9 @@ class CycleModel:
         ValueError
             If the baseline configuration reports non-positive energy.
         """
-        if baseline.total_energy_pj <= 0:
+        energy = baseline.total_energy_pj
+        if energy <= 0:
             raise ValueError("baseline configuration reports zero energy")
-        return 1.0 - improved.total_energy_pj / baseline.total_energy_pj
+        return 1.0 - improved.total_energy_pj / energy
 
 

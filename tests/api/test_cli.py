@@ -89,6 +89,15 @@ class TestRun:
         assert result.experiment == "fig7"
         assert [row.model for row in result.rows] == ["alexnet"]
 
+    def test_json_stdout_carries_only_json_and_the_table_goes_to_stderr(
+        self, capsys
+    ):
+        assert main(["run", "table4", "--json", "-"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["experiment"] == "table4"
+        assert "Table 4" in captured.err and "Total" in captured.err
+
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
@@ -223,6 +232,16 @@ class TestSweep:
         assert "--- table4" in out
         assert "1 result(s)" in out
         assert "executor=thread" in out  # service stats line
+
+    def test_sweep_json_stdout_carries_only_json(self, capsys):
+        argv = ["sweep", "--experiments", "table4", "fig7", "--models",
+                "alexnet", "--transport", "serial", "--json", "-"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert SweepResult.from_json(captured.out).cache_misses == 2
+        assert len(payload["results"]) == 2
+        assert "--- table4" in captured.err and "executor=serial" in captured.err
 
     def test_sweep_transports_agree(self, capsys, tmp_path):
         results = {}

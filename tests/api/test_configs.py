@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import repro.api.configs as configs_module
 from repro.api.configs import (
     DEFAULT_CONFIG,
     build_dbpim_config,
@@ -72,6 +73,31 @@ class TestDigest:
         assert config_digest(DBPIMConfig(num_macros=8)) != config_digest()
         fta = build_fta_config(max_threshold=1)
         assert config_digest(fta_config=fta) != config_digest()
+
+    def test_memo_follows_the_registered_config_not_its_name(self, monkeypatch):
+        # A private copy of the registry keeps the test preset out of
+        # every other test.
+        monkeypatch.setattr(
+            configs_module, "_REGISTRY", dict(configs_module._REGISTRY)
+        )
+        name = "test-digest-overwrite"
+        first = build_dbpim_config(num_macros=2)
+        second = build_dbpim_config(num_macros=6)
+        register_config(name, first, overwrite=True)
+        assert config_digest(name) == config_digest(first)
+        register_config(name, second, overwrite=True)
+        assert config_digest(name) == config_digest(second)
+        assert config_digest(name) != config_digest(first)
+
+    def test_memo_does_not_alias_equal_values_that_serialise_apart(self):
+        # 500 == 500.0, but the digest hashes the JSON form, which differs;
+        # memoisation must not make one digest depend on call order.
+        as_int = build_dbpim_config(frequency_mhz=500)
+        as_float = build_dbpim_config(frequency_mhz=500.0)
+        assert as_int == as_float
+        assert config_digest(as_int) != config_digest(as_float)
+        assert config_digest(as_float) == config_digest()
+        assert config_digest(as_int) != config_digest()
 
     def test_dict_form_is_nested_and_plain(self):
         payload = config_to_dict()

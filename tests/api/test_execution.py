@@ -4,7 +4,9 @@ Pins what sweep shards, serve batches and ``repro worker`` rely on: a
 mixed batch executed by :func:`execute_points` equals point-at-a-time
 ``Experiment(...).run`` byte for byte, a store turns a repeat call into
 pure hits without building a session, and a failing point comes back as a
-value while its merge bucket-mates still succeed.
+value while its merge bucket-mates still succeed.  A failed merged run
+warns before the point-by-point re-run, and points that differ only in
+inputs their experiment does not read share one run.
 """
 
 import pytest
@@ -69,7 +71,8 @@ class TestExecutePoints:
 
         monkeypatch.setattr(Experiment, "run", fragile)
         points = [_fig7([name]) for name in ("alexnet", "mobilenetv2", "vgg19")]
-        execution = execute_points(points, SessionPool())
+        with pytest.warns(RuntimeWarning, match="injected fault"):
+            execution = execute_points(points, SessionPool())
         assert execution.merge_fallbacks == 1
         failed = execution.results[points[1].cache_key()]
         assert isinstance(failed, RuntimeError)
@@ -77,6 +80,60 @@ class TestExecutePoints:
         for point in (points[0], points[2]):
             result = execution.results[point.cache_key()]
             assert isinstance(result, ExperimentResult)
+            assert result.to_json() == _solo(point).to_json()
+
+
+    def test_failed_merge_warns_and_matches_an_unfailed_run(
+        self, monkeypatch
+    ):
+        points = [_fig7([name]) for name in ("alexnet", "resnet18", "vgg19")]
+        clean = execute_points(points, SessionPool())
+        real_run = Experiment.run
+
+        def solo_only(self, experiment, **params):
+            if len(params.get("models") or ()) > 1:
+                raise RuntimeError("injected merge fault")
+            return real_run(self, experiment, **params)
+
+        monkeypatch.setattr(Experiment, "run", solo_only)
+        with pytest.warns(
+            RuntimeWarning,
+            match=r"merged 'fig7' run of 3 points failed "
+            r"\(RuntimeError: injected merge fault\)",
+        ):
+            fallen = execute_points(points, SessionPool())
+        assert clean.merge_fallbacks == 0 and fallen.merge_fallbacks == 1
+        assert fallen.results.keys() == clean.results.keys()
+        for key, result in clean.results.items():
+            assert fallen.results[key].to_json() == result.to_json()
+
+    def test_points_sharing_an_input_key_run_once_with_their_own_config(
+        self, monkeypatch
+    ):
+        presets = ("paper-28nm", "dense-baseline", "paper-28nm-8macro")
+        points = [
+            SweepPoint(
+                experiment=experiment, config=preset, params={"models": [model]}
+            )
+            for experiment in ("fig2b", "graph")
+            for preset in presets
+            for model in ("alexnet", "vgg19")
+        ]
+        real_run = Experiment.run
+        calls = []
+
+        def counting(self, experiment, **params):
+            calls.append((experiment, self.config_name))
+            return real_run(self, experiment, **params)
+
+        monkeypatch.setattr(Experiment, "run", counting)
+        execution = execute_points(points, SessionPool())
+        # One merged run per experiment, not one per (experiment, preset).
+        assert sorted(name for name, _ in calls) == ["fig2b", "graph"]
+        monkeypatch.setattr(Experiment, "run", real_run)
+        for point in points:
+            result = execution.results[point.cache_key()]
+            assert result.config == point.config
             assert result.to_json() == _solo(point).to_json()
 
 
@@ -121,7 +178,9 @@ class TestRunShard:
             experiments=("fig7",), models=("alexnet", "mobilenetv2", "vgg19")
         )
         (shard,) = ShardPlanner(shards=1).plan(grid).shards
-        with pytest.raises(SweepPointError) as info:
+        with pytest.raises(SweepPointError) as info, pytest.warns(
+            RuntimeWarning, match="injected fault"
+        ):
             run_shard(shard)
         assert info.value.point.params["models"] == ["mobilenetv2"]
         assert isinstance(info.value.__cause__, RuntimeError)

@@ -152,16 +152,64 @@ class TestShardPlanner:
         assert [s.indices for s in plan.shards] == [(0, 1), (2, 3), (4, 5)]
 
     def test_non_profiling_single_model_points_chunk_in_grid_order(self):
-        # table2 trains networks and never profiles: its one-model points
-        # keep splitting across shards instead of bundling per model.
+        # table2 trains networks and never profiles: one-model points with
+        # distinct inputs keep splitting across shards in grid order.
+        grid = build_grid(
+            experiments=("table2",),
+            models=("alexnet", "vgg19", "resnet18"),
+            configs=("paper-28nm",),
+            seeds=(0,),
+        )
+        plan = ShardPlanner(shards=3).plan(grid)
+        assert [s.indices for s in plan.shards] == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_five_preset_config_free_sweep_runs_each_input_once(
+        self, monkeypatch, shards
+    ):
+        # fig2a/fig2b/graph do not read the configuration: a cold sweep
+        # over five presets computes each input once -- a fifth of the
+        # one run per (preset, experiment) that a single shard needs when
+        # results are not shared -- and returns the same bytes.
+        presets = (
+            "paper-28nm", "dense-baseline", "weight-sparsity-only",
+            "input-sparsity-only", "paper-28nm-8macro",
+        )
+        kwargs = dict(experiments=("fig2a", "fig2b", "graph"), configs=presets)
+        grid = build_grid(**kwargs)
+        real_run = Experiment.run
+        calls = []
+
+        def counting(self, experiment, **params):
+            calls.append((experiment, self.config_name))
+            return real_run(self, experiment, **params)
+
+        monkeypatch.setattr(Experiment, "run", counting)
+        swept = run_sweep(transport="serial", shards=shards, **kwargs)
+        if shards == 1:
+            unshared = {(point.config, point.experiment) for point in grid}
+            assert len(calls) * 5 == len(unshared) == 15
+        else:
+            assert len(calls) <= len(kwargs["experiments"]) + shards - 1
+        monkeypatch.setattr(Experiment, "run", real_run)
+        point_at_a_time = SweepResult(
+            results=tuple(run_point(point)[0] for point in grid),
+            cache_misses=len(grid),
+        )
+        assert swept.to_json() == point_at_a_time.to_json()
+
+    def test_points_sharing_an_input_key_bundle_into_one_shard(self):
+        # table2 does not read the hardware configuration: its alexnet
+        # points on three presets are one computation, planned together.
         grid = build_grid(
             experiments=("table2",),
             models=("alexnet",),
             configs=("paper-28nm", "dense-baseline", "paper-28nm-8macro"),
             seeds=(0,),
         )
+        assert len({point.input_key() for point in grid}) == 1
         plan = ShardPlanner(shards=3).plan(grid)
-        assert [s.indices for s in plan.shards] == [(0,), (1,), (2,)]
+        assert [s.indices for s in plan.shards] == [(0, 1, 2)]
 
     def test_profiling_experiments_are_exactly_those_that_profile(
         self, monkeypatch

@@ -396,7 +396,9 @@ class TestServiceDispatch:
 
         monkeypatch.setattr(Experiment, "run", solo_only)
 
-        with ExperimentService(ServeConfig(hot_cache_size=0)) as service:
+        with ExperimentService(
+            ServeConfig(hot_cache_size=0)
+        ) as service, pytest.warns(RuntimeWarning, match="merged runs"):
             outcomes = submit_coalesced(
                 service, [RunRequest("fig7", models=(m,)) for m in MODELS]
             )
@@ -421,6 +423,32 @@ class TestServiceCaching:
         assert not first.cache_hit
         assert second.cache_hit and second.batch_size == 0
         assert second.result.to_json() == first.result.to_json()
+
+    def test_fig2b_on_another_preset_is_a_hot_hit_with_its_own_config(self):
+        # fig2b does not read the configuration: preset B after preset A
+        # is a hot hit, labelled B and equal to a cold run at B.
+        at_a = RunRequest("fig2b", models=("alexnet",), config="paper-28nm")
+        at_b = RunRequest(
+            "fig2b", models=("alexnet",), config="paper-28nm-8macro"
+        )
+        with ExperimentService(ServeConfig()) as service:
+            first = service.submit(at_a)
+            second = service.submit(at_b)
+        assert not first.cache_hit and second.cache_hit
+        assert second.result.config == "paper-28nm-8macro"
+        assert second.result.to_dict() == direct_result(at_b).to_dict()
+        assert first.result.to_dict() == direct_result(at_a).to_dict()
+
+    def test_fig7_on_another_preset_is_a_miss(self):
+        # fig7 reads the configuration: no sharing across presets.
+        with ExperimentService(ServeConfig()) as service:
+            service.submit(RunRequest("fig7", models=("alexnet",)))
+            other = service.submit(
+                RunRequest(
+                    "fig7", models=("alexnet",), config="paper-28nm-8macro"
+                )
+            )
+        assert not other.cache_hit
 
     def test_packed_store_layer(self, tmp_path):
         """The hot-cache miss path falls through to the packed store."""
