@@ -93,13 +93,15 @@ class SessionPool:
     (config, seed, engine).
 
     Same-(seed, engine) sessions are cloned via
-    :meth:`~repro.api.experiment.Experiment.with_config`, so they share one
-    workload-profile cache and a grid over hardware configs profiles each
-    workload once.  Thread-safe.
+    :meth:`~repro.api.experiment.Experiment.with_config` from the first
+    session of that (seed, engine), so they share one workload-profile
+    cache and a grid over hardware configs profiles each workload once.
+    Thread-safe.
     """
 
     def __init__(self) -> None:
         self._sessions: Dict[Tuple[str, int, str], Experiment] = {}
+        self._first: Dict[Tuple[int, str], Experiment] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -112,12 +114,12 @@ class SessionPool:
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
-                for (_, other_seed, other_engine), other in self._sessions.items():
-                    if other_seed == seed and other_engine == engine:
-                        session = other.with_config(config)
-                        break
-                else:
+                first = self._first.get((seed, engine))
+                if first is None:
                     session = Experiment(config=config, seed=seed, engine=engine)
+                    self._first[(seed, engine)] = session
+                else:
+                    session = first.with_config(config)
                 self._sessions[key] = session
             return session
 

@@ -189,7 +189,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             title="zero-bit ratio of INT8 weights (binary / CSD / CSD+FTA)",
             runner="weight_sparsity",
             takes_models=True,
-            reads=(),
+            reads=("fta_config",),
         ),
         ExperimentSpec(
             id="fig2b",
@@ -553,7 +553,9 @@ class Experiment:
                 )
                 int_weights, _ = quantize_weights(float_weights, per_channel=True)
                 quantized_layers.append(int_weights)
-            report = analyze_weight_sparsity(quantized_layers)
+            report = analyze_weight_sparsity(
+                quantized_layers, fta_config=self.fta_config
+            )
             rows.append(
                 WeightSparsityRow(
                     model=name,

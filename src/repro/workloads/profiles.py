@@ -26,10 +26,13 @@ model exercises the real algorithm end to end.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import zlib
 
 import numpy as np
 
@@ -265,16 +268,74 @@ def profile_model(
     fta_config: Optional[FTAConfig] = None,
     input_group: int = 16,
 ) -> ModelSparsityProfile:
-    """Profile every layer of a workload."""
-    profiles: List[LayerSparsityProfile] = [
-        profile_layer(
-            layer,
-            workload.redundancy,
-            workload.activation_density,
-            seed=seed,
-            fta_config=fta_config,
-            input_group=input_group,
-        )
-        for layer in workload.layers
-    ]
+    """Profile every layer of a workload.
+
+    The calling thread and, when the process may use more than one CPU, one
+    helper thread pull layers from a single in-order queue, so one layer's
+    RNG draws (which release the GIL) overlap the next layer's Python work.
+    The helper runs only when the process's CPU affinity holds more than one
+    CPU, the workload has more than one layer and the process is not a
+    :mod:`multiprocessing` child (process-pool workers already fan out one
+    per CPU).  It is created and joined inside the call.
+
+    Every layer draws from its own seeded RNG and its profile lands in its
+    slot in network order, so the result is byte-identical to profiling the
+    layers one after another.  When a layer fails, no further layers are
+    handed out and the exception of the lowest failing layer index -- the
+    one the serial loop would raise -- propagates.
+    """
+    layers = workload.layers
+    profiles: List[Optional[LayerSparsityProfile]] = [None] * len(layers)
+    failures: Dict[int, Exception] = {}
+    pending = iter(enumerate(layers))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                item = None if stop.is_set() else next(pending, None)
+            if item is None:
+                return
+            index, layer = item
+            try:
+                profiles[index] = profile_layer(
+                    layer,
+                    workload.redundancy,
+                    workload.activation_density,
+                    seed=seed,
+                    fta_config=fta_config,
+                    input_group=input_group,
+                )
+            except Exception as error:
+                with lock:
+                    failures[index] = error
+                stop.set()
+                return
+
+    if _use_helper_thread(len(layers)):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(drain)
+            try:
+                drain()
+            finally:
+                stop.set()  # an interrupt of this thread stops the helper too
+            helper.result()
+    else:
+        drain()
+    if failures:
+        raise failures[min(failures)]
     return ModelSparsityProfile(workload=workload, layers=tuple(profiles))
+
+
+def _use_helper_thread(layer_count: int) -> bool:
+    """Whether :func:`profile_model` profiles on a second thread."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return (
+        cpus > 1
+        and layer_count > 1
+        and multiprocessing.parent_process() is None
+    )

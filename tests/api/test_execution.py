@@ -148,6 +148,43 @@ class TestSessionPool:
         assert other_seed._profiles is not base._profiles
         assert len(pool) == 3
 
+    def test_many_seeds_and_presets_clone_once_from_one_first_session(
+        self, monkeypatch
+    ):
+        presets = (
+            "paper-28nm",
+            "dense-baseline",
+            "weight-sparsity-only",
+            "input-sparsity-only",
+            "paper-28nm-8macro",
+        )
+        real_with_config = Experiment.with_config
+        clones = []
+
+        def counted(self, config):
+            clones.append((self.seed, self.engine, config))
+            return real_with_config(self, config)
+
+        monkeypatch.setattr(Experiment, "with_config", counted)
+        pool = SessionPool()
+        seeds = range(40)
+        for _ in range(2):  # the second pass is all hits
+            for seed in seeds:
+                for engine in ("vectorized", "scalar"):
+                    for preset in presets:
+                        pool.get(preset, seed, engine)
+        assert len(pool) == len(seeds) * 2 * len(presets)
+        assert len(clones) == len(seeds) * 2 * (len(presets) - 1)
+        assert len(set(clones)) == len(clones)
+        for seed in seeds:
+            for engine in ("vectorized", "scalar"):
+                sessions = [pool.get(preset, seed, engine) for preset in presets]
+                assert len({id(s._profiles) for s in sessions}) == 1
+                assert all(s.seed == seed and s.engine == engine for s in sessions)
+        assert pool.get(presets[0], 0, "vectorized")._profiles is not (
+            pool.get(presets[0], 1, "vectorized")._profiles
+        )
+
 
 class TestRunShard:
     def test_whole_shard_runs_then_first_failure_in_grid_order_raises(

@@ -15,12 +15,18 @@ there a rotation gives every preset and every other input value one run.
 Experiments that read every input have nothing to vary and are skipped.
 """
 
+import hashlib
 import itertools
 import json
 
 import pytest
 
-from repro.api.experiment import EXPERIMENT_INPUTS, Experiment, list_experiments
+from repro.api.experiment import (
+    EXPERIMENT_INPUTS,
+    Experiment,
+    get_experiment_spec,
+    list_experiments,
+)
 from repro.api.results import PAPER_MODEL_ORDER
 from repro.api.sweep import SweepPoint
 from repro.core.fta import FTAConfig
@@ -152,3 +158,34 @@ class TestInputKey:
 
         with pytest.raises(ValueError, match="unknown inputs"):
             replace(get_experiment_spec("fig2a"), reads=("weather",))
+
+
+class TestFig2aFollowsTheFTAConfig:
+    #: sha256 of the default-config fig2a rows over the paper models, as
+    #: computed while the "CSD+FTA" column ignored the session's FTA config.
+    DEFAULT_ROWS_SHA256 = {
+        0: "8c8dc32a007dafe893e11f36448aff57a9afbfccdb4ab9df49b6e15dc998d997",
+        1: "4b5feb2124ee47f8355537c693758d6523633f43a5f4ddec12eb648858b01e1d",
+    }
+
+    def test_fig2a_declares_the_fta_config(self):
+        assert get_experiment_spec("fig2a").reads == ("fta_config",)
+
+    def test_a_non_default_fta_config_moves_only_the_fta_column(self):
+        models = list(PAPER_MODEL_ORDER)
+        default = Experiment().run("fig2a", models=models).rows
+        capped = Experiment(fta_config=FTAConfig(max_threshold=1)).run(
+            "fig2a", models=models
+        ).rows
+        for plain, moved in zip(default, capped):
+            assert moved.binary_zero_ratio == plain.binary_zero_ratio
+            assert moved.csd_zero_ratio == plain.csd_zero_ratio
+            assert moved.fta_zero_ratio != plain.fta_zero_ratio
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_default_config_rows_are_unchanged(self, seed):
+        rows = _rows(get_experiment_spec("fig2a"), seed, {})
+        assert (
+            hashlib.sha256(rows.encode()).hexdigest()
+            == self.DEFAULT_ROWS_SHA256[seed]
+        )
