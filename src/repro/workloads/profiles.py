@@ -26,8 +26,6 @@ model exercises the real algorithm end to end.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -270,13 +268,12 @@ def profile_model(
 ) -> ModelSparsityProfile:
     """Profile every layer of a workload.
 
-    The calling thread and, when the process may use more than one CPU, one
+    For a workload of more than one layer, the calling thread and one
     helper thread pull layers from a single in-order queue, so one layer's
     RNG draws (which release the GIL) overlap the next layer's Python work.
-    The helper runs only when the process's CPU affinity holds more than one
-    CPU, the workload has more than one layer and the process is not a
-    :mod:`multiprocessing` child (process-pool workers already fan out one
-    per CPU).  It is created and joined inside the call.
+    The helper is created and joined inside the call.  It runs whatever
+    the CPU count or the calling process: on one CPU and inside
+    process-pool workers it measured as fast as the serial loop.
 
     Every layer draws from its own seeded RNG and its profile lands in its
     slot in network order, so the result is byte-identical to profiling the
@@ -313,7 +310,7 @@ def profile_model(
                 stop.set()
                 return
 
-    if _use_helper_thread(len(layers)):
+    if len(layers) > 1:
         with ThreadPoolExecutor(max_workers=1) as pool:
             helper = pool.submit(drain)
             try:
@@ -326,16 +323,3 @@ def profile_model(
     if failures:
         raise failures[min(failures)]
     return ModelSparsityProfile(workload=workload, layers=tuple(profiles))
-
-
-def _use_helper_thread(layer_count: int) -> bool:
-    """Whether :func:`profile_model` profiles on a second thread."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return (
-        cpus > 1
-        and layer_count > 1
-        and multiprocessing.parent_process() is None
-    )

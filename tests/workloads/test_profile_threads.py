@@ -3,13 +3,10 @@
 ``profile_model`` hands layers to the calling thread and one helper thread
 from a single in-order queue.  Pinned here: the profile is byte-identical
 (by ``pickle`` sha256) to ``[profile_layer(...) for layer in layers]`` for
-every workload, seed, FTA configuration and IPU group size; no helper
-starts with one CPU or inside a process-pool worker; and a failure raises
-what the serial loop would raise (the lowest failing layer's exception)
-and leaves no thread behind.
-
-The helper branch is forced by reporting two CPUs through
-``os.sched_getaffinity``, so it is exercised on a one-CPU runner too.
+every workload, seed, FTA configuration and IPU group size; exactly one
+helper starts for a multi-layer workload and none for a single layer; and
+a failure raises what the serial loop would raise (the lowest failing
+layer's exception) and leaves no thread behind.
 """
 
 import copy
@@ -17,7 +14,6 @@ import hashlib
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -74,20 +70,13 @@ def spy(monkeypatch):
     return _SpyExecutor.created
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(
-        profiles.os, "sched_getaffinity", lambda pid: set(range(count))
-    )
-
-
 @pytest.mark.parametrize("input_group", GROUPS)
 @pytest.mark.parametrize("fta_config", CONFIGS, ids=["default", "exact", "max3"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_threaded_profile_is_byte_identical_to_the_serial_loop(
-    monkeypatch, spy, name, seed, fta_config, input_group
+    spy, name, seed, fta_config, input_group
 ):
-    _cpus(monkeypatch, 2)
     workload = get_workload(name)
     threaded = profile_model(
         workload, seed=seed, fta_config=fta_config, input_group=input_group
@@ -99,7 +88,6 @@ def test_threaded_profile_is_byte_identical_to_the_serial_loop(
 
 
 def test_both_threads_profile_layers(monkeypatch):
-    _cpus(monkeypatch, 2)
     real = profiles.profile_layer
     threads = set()
 
@@ -113,25 +101,7 @@ def test_both_threads_profile_layers(monkeypatch):
     assert len(threads) == 2
 
 
-def test_one_cpu_starts_no_helper(monkeypatch, spy):
-    _cpus(monkeypatch, 1)
-    real = profiles.profile_layer
-    threads = set()
-
-    def recorded(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(profiles, "profile_layer", recorded)
-    workload = get_workload("resnet18")
-    profile = profile_model(workload)
-    assert spy == []
-    assert threads == {threading.get_ident()}
-    assert _digest(profile) == _digest(_serial(workload, 0, None, 16))
-
-
-def test_a_single_layer_starts_no_helper(monkeypatch, spy):
-    _cpus(monkeypatch, 2)
+def test_a_single_layer_starts_no_helper(spy):
     workload = get_workload("alexnet")
     single = copy.copy(workload)
     object.__setattr__(single, "layers", workload.layers[:1])
@@ -140,45 +110,13 @@ def test_a_single_layer_starts_no_helper(monkeypatch, spy):
     assert spy == []
 
 
-def _profile_in_pool_worker(name):
-    """Runs in a process-pool worker: profile one workload while reporting
-    two CPUs; returns the profile digest and the executors created."""
-    created = []
-
-    class Spy(profiles.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            created.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    saved = profiles.ThreadPoolExecutor, profiles.os.sched_getaffinity
-    profiles.ThreadPoolExecutor = Spy
-    profiles.os.sched_getaffinity = lambda pid: {0, 1}
-    try:
-        return _digest(profile_model(get_workload(name))), created
-    finally:
-        profiles.ThreadPoolExecutor, profiles.os.sched_getaffinity = saved
-
-
-def test_a_process_pool_worker_starts_no_helper():
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        digest, created = pool.submit(_profile_in_pool_worker, "vgg19").result(
-            timeout=120
-        )
-    assert created == []
-    assert digest == _digest(_serial(get_workload("vgg19"), 0, None, 16))
-
-
 def _invalid(name):
     workload = copy.copy(get_workload(name))
     object.__setattr__(workload, "redundancy", 1.5)  # bypasses validation
     return workload
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_invalid_redundancy_raises_the_serial_error_and_leaves_no_thread(
-    monkeypatch, cpus
-):
-    _cpus(monkeypatch, cpus)
+def test_invalid_redundancy_raises_the_serial_error_and_leaves_no_thread():
     workload = _invalid("mobilenetv2")
     with pytest.raises(ValueError) as serial:
         _serial(workload, 0, None, 16)
@@ -193,7 +131,6 @@ def test_invalid_redundancy_raises_the_serial_error_and_leaves_no_thread(
 def test_the_lowest_failing_layer_wins(monkeypatch):
     # Layer 3 fails slowly, so the helper reaches layer 7 and fails first;
     # the serial loop would raise layer 3's error, and so must this.
-    _cpus(monkeypatch, 2)
     workload = get_workload("vgg19")
     names = [layer.name for layer in workload.layers]
     real = profiles.profile_layer
@@ -219,7 +156,6 @@ def test_the_lowest_failing_layer_wins(monkeypatch):
 def test_no_layer_is_handed_out_after_a_failure(monkeypatch):
     # Layer 1 fails at once while every other layer takes a while: the
     # thread still busy finishes its layer and takes no further one.
-    _cpus(monkeypatch, 2)
     workload = get_workload("vgg19")
     names = [layer.name for layer in workload.layers]
     real = profiles.profile_layer
