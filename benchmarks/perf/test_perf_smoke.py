@@ -177,3 +177,48 @@ def test_bench_dist_rejects_bad_arguments(tmp_path, capsys):
     with pytest.raises(SystemExit):
         bench_dist.main(["--workers", "0"])
     capsys.readouterr()
+
+
+bench_profile = _load("bench_profile")
+
+
+def test_bench_profile_emits_report(tmp_path):
+    # One child per side, this checkout as both sides: exercises the
+    # alternating comparison without a second tree.
+    output = tmp_path / "BENCH_profile.json"
+    code = bench_profile.main(
+        [
+            "--repeats", "1",
+            "--baseline", str(bench_profile.SOURCE),
+            "--baseline-label", "same",
+            "--output", str(output),
+        ]
+    )
+    assert code == 0
+    report = json.loads(output.read_text())
+    assert report["benchmark"] == "profile"
+    assert set(report) >= {"version", "git_sha", "python", "cpu_count"}
+    assert report["layers"] == 153
+    assert set(report["sides"]) == {"change", "same"}
+    for side in report["sides"].values():
+        medians = {key: entry["median"] for key, entry in side.items()}
+        assert medians["profile_layer"] > medians["rng_floor"] > 0
+        assert medians["rng_floor"] == (
+            medians["weights_rng"] + medians["activations_rng"]
+        )
+        assert medians["non_rng"] == (
+            medians["profile_layer"] - medians["rng_floor"]
+        )
+    for key in ("non_rng", "stages_non_rng"):
+        assert report[f"{key}_ratio"] > 0
+        assert report[f"{key}_pairs_won"] in (0, 1)
+
+
+def test_bench_profile_rejects_bad_arguments(tmp_path, capsys):
+    import pytest
+
+    with pytest.raises(SystemExit):
+        bench_profile.main(["--repeats", "0"])
+    with pytest.raises(SystemExit):
+        bench_profile.main(["--baseline-label", "change"])
+    capsys.readouterr()

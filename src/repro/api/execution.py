@@ -27,6 +27,7 @@ import dataclasses
 import json
 import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -49,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Execution",
+    "MAX_SESSION_GROUPS",
     "SessionPool",
     "append_results",
     "execute_points",
@@ -66,6 +68,10 @@ _MERGEABLE_EXPERIMENTS = frozenset(
     for spec in EXPERIMENTS.values()
     if spec.takes_models and not spec.aggregates_models and not spec.heavy
 )
+
+#: Most (seed, engine) groups of sessions a :class:`SessionPool` keeps
+#: (each holds its workload profiles, datasets and compiled programs).
+MAX_SESSION_GROUPS = 32
 
 #: A point's result, or the exception its run raised.
 Outcome = Union[ExperimentResult, Exception]
@@ -89,38 +95,48 @@ def merge_key(point: "SweepPoint") -> Optional[Tuple[str, str]]:
 
 
 class SessionPool:
-    """One warm :class:`~repro.api.experiment.Experiment` per
-    (config, seed, engine).
+    """Warm :class:`~repro.api.experiment.Experiment` sessions, one per
+    (config, seed, engine), for at most :data:`MAX_SESSION_GROUPS`
+    (seed, engine) groups.
 
-    Same-(seed, engine) sessions are cloned via
-    :meth:`~repro.api.experiment.Experiment.with_config` from the first
-    session of that (seed, engine), so they share one workload-profile
-    cache and a grid over hardware configs profiles each workload once.
+    A group's first session is built directly; the group's other configs
+    are cloned from it via
+    :meth:`~repro.api.experiment.Experiment.with_config`, so they share one
+    workload-profile cache and a grid over hardware configs profiles each
+    workload once.  Opening a group beyond the cap evicts the least
+    recently used group with all its sessions; requesting it again
+    rebuilds it (results are seed-determined, so they are unchanged).
     Thread-safe.
     """
 
     def __init__(self) -> None:
-        self._sessions: Dict[Tuple[str, int, str], Experiment] = {}
-        self._first: Dict[Tuple[int, str], Experiment] = {}
+        # (seed, engine) -> {config: session}, the first entry the group's
+        # first session; least recently used group first.
+        self._groups: "OrderedDict[Tuple[int, str], Dict[str, Experiment]]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        """Number of sessions created so far."""
-        return len(self._sessions)
+        """Number of live sessions."""
+        with self._lock:
+            return sum(len(group) for group in self._groups.values())
 
     def get(self, config: str, seed: int, engine: str) -> Experiment:
         """The session of (config, seed, engine), created on first use."""
-        key = (config, seed, engine)
         with self._lock:
-            session = self._sessions.get(key)
+            group = self._groups.get((seed, engine))
+            if group is None:
+                session = Experiment(config=config, seed=seed, engine=engine)
+                self._groups[(seed, engine)] = {config: session}
+                if len(self._groups) > MAX_SESSION_GROUPS:
+                    self._groups.popitem(last=False)
+                return session
+            self._groups.move_to_end((seed, engine))
+            session = group.get(config)
             if session is None:
-                first = self._first.get((seed, engine))
-                if first is None:
-                    session = Experiment(config=config, seed=seed, engine=engine)
-                    self._first[(seed, engine)] = session
-                else:
-                    session = first.with_config(config)
-                self._sessions[key] = session
+                session = next(iter(group.values())).with_config(config)
+                group[config] = session
             return session
 
 

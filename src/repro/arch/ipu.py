@@ -121,12 +121,17 @@ class InputPreprocessingUnit:
         Returns:
             ``int64`` array with one active-column count per group.
         """
-        inputs = self._validate(np.asarray(inputs).reshape(-1))
+        return self._group_active_columns(self._validate(inputs))
+
+    def _group_active_columns(self, inputs: np.ndarray) -> np.ndarray:
+        """:meth:`group_active_columns` of an already validated vector."""
         groups = -(-inputs.size // self.group_size)
-        padded = np.zeros(groups * self.group_size, dtype=np.int64)
-        padded[: inputs.size] = inputs
+        if inputs.size % self.group_size:
+            padded = np.zeros(groups * self.group_size, dtype=np.int64)
+            padded[: inputs.size] = inputs
+            inputs = padded
         group_or = np.bitwise_or.reduce(
-            padded.reshape(groups, self.group_size), axis=1
+            inputs.reshape(groups, self.group_size), axis=1
         )
         return count_nonzero_bits_binary(group_or, self.input_bits).astype(
             np.int64, copy=False
@@ -142,10 +147,10 @@ class InputPreprocessingUnit:
         group of ``group_size`` activations.  Computed by one vectorized
         pass over all groups (see :meth:`group_active_columns`).
         """
-        inputs = self._validate(np.asarray(inputs).reshape(-1))
+        inputs = self._validate(inputs)
         if not skip_zero_columns:
             return float(self.input_bits)
-        per_group = self.group_active_columns(inputs)
+        per_group = self._group_active_columns(inputs)
         return int(per_group.sum()) / per_group.size
 
     def _validate(self, inputs: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 from .csd import (
     _LUT_MAX_WIDTH,
     DEFAULT_WIDTH,
+    _check_domain,
     count_nonzero_bits_binary,
     count_nonzero_digits_array,
     max_value,
@@ -348,6 +349,54 @@ class FTAStatistics:
         return int(self.thresholds.size) * self.elements
 
 
+class _CodeTables:
+    """What :func:`layer_statistics` dots a layer's code histogram with.
+
+    Per code of the sorted vector ``codes``: the one-hot of its FTA digit
+    count ``φ`` (in ``config.width`` digits), its CSD digit count and its
+    popcount (in ``width`` digits), all read-only; and, per threshold, the
+    digit count of its snap into ``T(φ_th)``, built on first use (a race
+    between threads builds the same row twice, harmlessly).
+    """
+
+    def __init__(self, codes: np.ndarray, config: FTAConfig, width: int) -> None:
+        self.codes = codes
+        self.config = config
+        self.width = width
+        phi = count_nonzero_digits_array(codes, config.width)
+        self.one_hot = _read_only(
+            (phi[:, None] == np.arange(max_phi(config.width) + 1)).astype(
+                np.float64
+            )
+        )
+        self.csd_digits = _read_only(count_nonzero_digits_array(codes, width))
+        self.set_bits = _read_only(count_nonzero_bits_binary(codes, width))
+        self._snapped: Dict[int, np.ndarray] = {}
+
+    def snapped_digits(self, threshold: int) -> np.ndarray:
+        """CSD digit count of every code's snap into ``T(threshold)``."""
+        row = self._snapped.get(threshold)
+        if row is None:
+            snapped = _snap_lookup(self.codes, threshold, self.config)
+            row = _read_only(count_nonzero_digits_array(snapped, self.width))
+            self._snapped[threshold] = row
+        return row
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=64)
+def _domain_tables(config: FTAConfig, width: int) -> _CodeTables:
+    """The :class:`_CodeTables` of every code a ``min(config.width,
+    width)``-digit CSD word can hold (``-170 .. 170`` for width 8)."""
+    domain_width = min(config.width, width)
+    domain = np.arange(min_value(domain_width), max_value(domain_width) + 1)
+    return _CodeTables(_read_only(domain), config, width)
+
+
 def layer_statistics(
     weights: np.ndarray,
     config: Optional[FTAConfig] = None,
@@ -357,12 +406,14 @@ def layer_statistics(
     exactly on the per-filter histogram of the layer's integer codes.
 
     Every statistic of a weight is a function of its value, so one
-    ``np.bincount`` gives a ``(filters, span)`` histogram over the observed
-    code range (at most 255 codes for INT8 weights) and each total is that
-    histogram dotted with a per-value table: the CSD digit count, the
-    popcount and, per distinct threshold, the digit count of the value's
-    snap into ``T(φ_th)``.  The thresholds apply :func:`approximate_layer`'s
-    mode rule to ``histogram @ one_hot(φ)``.
+    ``np.bincount`` gives a ``(filters, codes)`` histogram and each total
+    is that histogram dotted with a per-code table: the CSD digit count,
+    the popcount and, per distinct threshold, the digit count of the
+    code's snap into ``T(φ_th)``.  The thresholds apply
+    :func:`approximate_layer`'s mode rule to ``histogram @ one_hot(φ)``.
+    Words of up to 8 digits histogram over the word's whole CSD domain
+    (341 codes for INT8 weights), whose tables are built once per
+    configuration; wider words histogram their distinct codes.
 
     Args:
         weights: filter-major integer array, as for :func:`approximate_layer`.
@@ -377,33 +428,34 @@ def layer_statistics(
     config = config or FTAConfig()
     weights = _filter_major(weights)
     flat = weights.reshape(weights.shape[0], -1)
-    low, high = int(flat.min()), int(flat.max())
-    if high - low < flat.size:
-        values = np.arange(low, high + 1, dtype=np.int64)
-        histogram = _row_histograms(flat, values.size, low)
-    else:  # a code range wider than the layer: histogram the distinct codes
-        values, codes = np.unique(flat.reshape(-1), return_inverse=True)
-        histogram = _row_histograms(codes.reshape(flat.shape), values.size)
-    phi = count_nonzero_digits_array(values, config.width)
-    one_hot = phi[:, None] == np.arange(max_phi(config.width) + 1)
+    domain_width = min(config.width, width)
+    _check_domain(flat, domain_width)
+    if domain_width <= DEFAULT_WIDTH:
+        tables = _domain_tables(config, width)
+        histogram = _row_histograms(
+            flat, tables.codes.size, min_value(domain_width)
+        )
+    else:
+        codes, inverse = np.unique(flat.reshape(-1), return_inverse=True)
+        tables = _CodeTables(codes, config, width)
+        histogram = _row_histograms(inverse.reshape(flat.shape), codes.size)
     # Exact in float64 (integer sums below 2**53), and a BLAS product.
-    phi_histogram = histogram.astype(np.float64) @ one_hot
+    phi_histogram = histogram.astype(np.float64) @ tables.one_hot
     thresholds = _thresholds_from_histograms(
         phi_histogram.astype(np.int64), config.max_threshold
     )
     fta_nonzero = 0
-    for threshold in np.unique(thresholds[thresholds > 0]):
-        snapped = _snap_lookup(values, int(threshold), config)
+    for threshold in np.unique(thresholds[thresholds > 0]).tolist():
         fta_nonzero += int(
             histogram[thresholds == threshold].sum(axis=0)
-            @ count_nonzero_digits_array(snapped, width)
+            @ tables.snapped_digits(threshold)
         )
     per_value = histogram.sum(axis=0)
     return FTAStatistics(
         thresholds=thresholds,
-        csd_nonzero=int(per_value @ count_nonzero_digits_array(values, width)),
+        csd_nonzero=int(per_value @ tables.csd_digits),
         fta_nonzero=fta_nonzero,
-        binary_nonzero=int(per_value @ count_nonzero_bits_binary(values, width)),
+        binary_nonzero=int(per_value @ tables.set_bits),
         elements=flat.shape[1],
     )
 

@@ -212,11 +212,41 @@ def synthesize_activations(
     count = min(layer.activation_count, max_samples)
     values = rng.standard_normal(size=count)
     np.abs(values, out=values)
-    # Censor values so only ``density`` of them are non-zero (post-ReLU).
-    threshold = np.quantile(values, 1.0 - density)
-    values = np.where(values >= threshold, values - threshold, 0.0)
+    # Censor values so only ``density`` of them are non-zero (post-ReLU):
+    # below the threshold ``values - threshold`` is negative, at or above
+    # it non-negative, so clamping at zero censors.
+    threshold = _linear_quantile(values, 1.0 - density)
+    values -= threshold
+    np.maximum(values, 0.0, out=values)
     calibration = 8.0  # activation-scale calibration point, in std units
-    return np.clip(np.round(values / calibration * 255), 0, 255).astype(np.int64)
+    values /= calibration
+    values *= 255
+    np.round(values, out=values)
+    np.minimum(values, 255, out=values)  # non-negative: only the cap binds
+    return values.astype(np.int64)
+
+
+def _linear_quantile(values: np.ndarray, q: float) -> np.float64:
+    """``np.quantile(values, q)`` (``method="linear"``) of a 1-D float
+    array, bit for bit, without sorting more than one rank.
+
+    Follows numpy's arithmetic: the virtual index ``(n - 1) * q``, the
+    largest value at or past the last rank, else the values ``a`` and
+    ``b`` at its two neighbouring ranks (a partition at the lower one; the
+    upper one is the least value above it) and numpy's two-sided lerp,
+    ``b - (b - a) * (1 - gamma)`` once ``gamma >= 0.5``.
+    """
+    virtual = (values.size - 1) * q
+    if virtual >= values.size - 1:
+        return values.max()
+    below = int(virtual)  # floor: the virtual index is non-negative
+    ranked = np.partition(values, below)
+    lower, upper = ranked[below], ranked[below + 1 :].min()
+    gamma = virtual - below
+    difference = upper - lower
+    if gamma >= 0.5:
+        return upper - difference * (1 - gamma)
+    return lower + difference * gamma
 
 
 def profile_layer(
@@ -233,10 +263,9 @@ def profile_layer(
     stats = layer_statistics(int_weights, fta_config)
     # Expand the sampled thresholds to the layer's full filter count by
     # cycling through the sample (the statistics are what matters).
-    repeats = -(-layer.out_channels // stats.thresholds.size)
-    thresholds = tuple(
-        np.tile(stats.thresholds, repeats)[: layer.out_channels].tolist()
-    )
+    sampled = stats.thresholds.tolist()
+    repeats = -(-layer.out_channels // len(sampled))
+    thresholds = tuple((sampled * repeats)[: layer.out_channels])
     total_digits = stats.size * 8
     # Zero-bit ratio of the approximated weights (in CSD digit terms).
     zero_ratio = 1.0 - stats.fta_nonzero / total_digits
@@ -246,10 +275,7 @@ def profile_layer(
 
     activations = synthesize_activations(layer, activation_density, seed)
     ipu = InputPreprocessingUnit(group_size=input_group)
-    if activations.max() == 0:
-        active_columns = 0.0
-    else:
-        active_columns = ipu.average_active_columns(activations)
+    active_columns = ipu.average_active_columns(activations)
     return LayerSparsityProfile(
         layer=layer,
         thresholds=thresholds,

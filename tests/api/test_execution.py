@@ -6,12 +6,14 @@ mixed batch executed by :func:`execute_points` equals point-at-a-time
 pure hits without building a session, and a failing point comes back as a
 value while its merge bucket-mates still succeed.  A failed merged run
 warns before the point-by-point re-run, and points that differ only in
-inputs their experiment does not read share one run.
+inputs their experiment does not read share one run.  The session pool
+keeps at most ``MAX_SESSION_GROUPS`` (seed, engine) groups, evicting the
+least recently used.
 """
 
 import pytest
 
-from repro.api.execution import SessionPool, execute_points
+from repro.api.execution import MAX_SESSION_GROUPS, SessionPool, execute_points
 from repro.api.experiment import Experiment
 from repro.api.results import ExperimentResult
 from repro.api.sweep import SweepPoint
@@ -167,7 +169,7 @@ class TestSessionPool:
 
         monkeypatch.setattr(Experiment, "with_config", counted)
         pool = SessionPool()
-        seeds = range(40)
+        seeds = range(MAX_SESSION_GROUPS // 2)  # x 2 engines: a full pool
         for _ in range(2):  # the second pass is all hits
             for seed in seeds:
                 for engine in ("vectorized", "scalar"):
@@ -184,6 +186,63 @@ class TestSessionPool:
         assert pool.get(presets[0], 0, "vectorized")._profiles is not (
             pool.get(presets[0], 1, "vectorized")._profiles
         )
+
+
+    def test_many_seeds_leave_at_most_the_cap_live(self):
+        pool = SessionPool()
+        for seed in range(300):
+            session = pool.get("paper-28nm", seed, "vectorized")
+            assert pool.get("paper-28nm-8macro", seed, "vectorized")._profiles is (
+                session._profiles
+            )
+            assert len(pool) <= 2 * MAX_SESSION_GROUPS
+        assert len(pool) == 2 * MAX_SESSION_GROUPS
+        assert len(pool._groups) == MAX_SESSION_GROUPS
+        assert [seed for seed, _ in pool._groups] == list(
+            range(300 - MAX_SESSION_GROUPS, 300)
+        )
+
+    def test_least_recently_used_group_is_evicted_first(self):
+        pool = SessionPool()
+        first = [pool.get("paper-28nm", seed, "scalar") for seed in range(3)]
+        pool.get("dense-baseline", 0, "scalar")  # seed 0 is used again
+        for seed in range(3, MAX_SESSION_GROUPS + 1):
+            pool.get("paper-28nm", seed, "scalar")
+        assert pool.get("paper-28nm", 0, "scalar") is first[0]
+        assert pool.get("paper-28nm", 2, "scalar") is first[2]
+        assert pool.get("paper-28nm", 1, "scalar") is not first[1]  # evicted
+
+    def test_evicted_seed_returns_byte_identical_rows(self):
+        pool = SessionPool()
+        before = pool.get("paper-28nm", 7, "vectorized").run(
+            "fig7", models=["alexnet"]
+        )
+        for seed in range(100, 100 + MAX_SESSION_GROUPS):
+            pool.get("paper-28nm", seed, "vectorized")
+        again = pool.get("paper-28nm", 7, "vectorized")
+        assert again._profiles == {}  # a rebuilt session
+        after = again.run("fig7", models=["alexnet"])
+        assert after.to_json() == before.to_json()
+
+    def test_one_hot_group_is_never_evicted(self):
+        # The serve-mix shape: one (seed, engine) over every preset, kept
+        # warm while other seeds come and go.
+        presets = (
+            "paper-28nm",
+            "dense-baseline",
+            "weight-sparsity-only",
+            "input-sparsity-only",
+            "paper-28nm-8macro",
+        )
+        pool = SessionPool()
+        hot = {preset: pool.get(preset, 0, "vectorized") for preset in presets}
+        for seed in range(1, 300):
+            pool.get("paper-28nm", seed, "vectorized")
+            preset = presets[seed % len(presets)]
+            assert pool.get(preset, 0, "vectorized") is hot[preset]
+        for _ in range(100):
+            for preset in presets:
+                assert pool.get(preset, 0, "vectorized") is hot[preset]
 
 
 class TestRunShard:
