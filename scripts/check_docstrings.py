@@ -47,7 +47,6 @@ REQUIRED_SYMBOLS = (
     "repro.api.experiment.Experiment.run_sweep",
     "repro.sim.vectorized.simulate_jobs",
     "repro.sim.vectorized.profile_arrays",
-    "repro.api.sweep.SweepJournalLockedError",
     "repro.api.sweep.SweepJournal.acquire",
     "repro.api.sweep.SweepJournal.release",
     "repro.serve.service.ExperimentService",
@@ -87,10 +86,8 @@ REQUIRED_SYMBOLS = (
     "repro.store.PackedResultStore.locate",
     "repro.store.PackedResultStore.get_many",
     "repro.store.PackedResultStore.append_many",
-    "repro.store.PackedResultStore.ingest_files",
     "repro.store.PackedStoreError",
     "repro.store.PackedStoreLockedError",
-    "repro.store.migrate_files_to_packed",
     "repro.store.ResultStore",
     "repro.store.open_store",
     "repro.api.execution.SessionPool",

@@ -15,8 +15,9 @@ of named frozen presets, the :class:`~repro.api.Experiment` /
 stack, a typed JSON-round-trippable result schema
 (:class:`~repro.api.ExperimentResult`, :class:`~repro.api.SweepResult`), a
 sharded sweep service (:func:`~repro.api.run_sweep`: cache-state shard
-planning, serial/thread/process/broker shard transports, on-disk result
-cache and a resumable JSONL run journal) and the ``repro`` console script;
+planning, serial/thread/process/broker shard transports and an on-disk
+result store that interrupted sweeps resume from) and the ``repro``
+console script;
 every table and figure of the paper is one ``Experiment.run`` experiment
 id.  Future scaling work (batching, async serving, multi-backend dispatch)
 should build on :mod:`repro.api` rather than adding new bespoke entry

@@ -18,9 +18,8 @@ experiments programmatically:
   partitioning grids by cache state, four fixed shard transports
   (``thread`` / ``process`` / ``serial`` local pools plus the distributed
   ``broker`` fabric driving ``repro worker`` fleets; see
-  :mod:`repro.dist`), an on-disk packed result store keyed by configuration
-  content hashes, and a resumable append-only JSONL run journal
-  (:class:`SweepJournal`);
+  :mod:`repro.dist`), and an on-disk packed result store keyed by
+  configuration content hashes, from which an interrupted sweep resumes;
 * :mod:`repro.api.cli` -- the ``repro`` console script built on all of the
   above.
 
@@ -74,8 +73,6 @@ from .sweep import (
     DEFAULT_TRANSPORT,
     ShardPlan,
     ShardPlanner,
-    SweepJournal,
-    SweepJournalLockedError,
     SweepPoint,
     SweepPointError,
     SweepShard,
@@ -131,8 +128,6 @@ __all__ = [
     "SweepShard",
     "ShardPlan",
     "ShardPlanner",
-    "SweepJournal",
-    "SweepJournalLockedError",
     "SweepPointError",
     "build_grid",
     "cache_keys_for_grid",

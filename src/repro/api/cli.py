@@ -9,15 +9,15 @@ The subcommands map the whole evaluation section onto the façade:
   replays them on the trace simulator, cross-checked against the
   analytical model;
 * ``repro sweep --experiments fig7 --transport process --shards 4
-  --cache-dir .cache --journal sweep.jsonl`` -- fan a grid out over the
-  sharded sweep service (thread/process/serial local transports plus the
-  distributed ``broker`` fabric via ``--transport broker --sweep-dir``;
-  on-disk result caching, append-only JSONL run journal); re-invoking
-  with ``--resume`` restores journaled points instead of recomputing
-  them;
+  --cache-dir .cache`` -- fan a grid out over the sharded sweep service
+  (thread/process/serial local transports plus the distributed ``broker``
+  fabric via ``--transport broker --sweep-dir``; on-disk packed result
+  store); re-invoking an interrupted sweep on the same ``--cache-dir``
+  restores every point its finished shards stored and computes only the
+  rest;
 * ``repro worker SWEEP_DIR`` -- attach a stateless worker process to a
   broker-transport sweep: lease cold shards, execute them, stream the
-  results back as journal fragments; start any number, kill any of them
+  results back as result fragments; start any number, kill any of them
   mid-shard, and the coordinator's lease-and-requeue recovery still
   reproduces the serial result byte-for-byte.
 
@@ -34,6 +34,7 @@ import argparse
 import difflib
 import json
 import sys
+from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Sequence, TextIO
 
 from ..dist import TRANSPORTS, transport_names
@@ -241,20 +242,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="target shard count (default: twice the worker count)",
     )
     sweep_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="append-only JSONL run journal (one result per line, flushed "
-        "per shard); enables --resume",
+        "--journal", default=None, metavar="DIR",
+        help="result store directory when --cache-dir is not given (a "
+        "sweep resumes from its store; ignored with --cache-dir)",
     )
     sweep_parser.add_argument(
         "--resume", action="store_true",
-        help="restore finished points from --journal instead of recomputing "
-        "them (the completed sweep is identical to an uninterrupted run)",
+        help="accepted for compatibility: every sweep with a store "
+        "restores its finished points (the completed results are "
+        "identical to an uninterrupted run); needs --cache-dir or "
+        "--journal",
     )
     sweep_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="on-disk result store directory (one append-only pack.data; "
-        "convert a per-file cache directory with "
-        "repro.store.migrate_files_to_packed)",
+        help="on-disk result store directory (one append-only pack.data); "
+        "re-running an interrupted sweep on it computes only the points "
+        "it does not hold",
     )
     sweep_parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -496,12 +499,19 @@ def _command_sweep(args: argparse.Namespace) -> int:
             "--sweep-dir only applies to a distributed transport "
             "(e.g. --transport broker)"
         )
-    if args.resume and args.journal is None:
-        raise CLIError("--resume requires --journal PATH")
+    if args.resume and args.cache_dir is None and args.journal is None:
+        raise CLIError("--resume requires --cache-dir DIR or --journal DIR")
     if args.shards is not None and args.shards <= 0:
         raise CLIError("--shards must be positive")
     if args.max_workers is not None and args.max_workers <= 0:
         raise CLIError("--max-workers must be positive")
+    if args.cache_dir is None and args.journal is not None:
+        if Path(args.journal).is_file():
+            raise CLIError(
+                f"--journal {args.journal} is a file (an old JSONL run "
+                "journal?): --journal now names a packed result store "
+                "directory"
+            )
     sweep = run_sweep(
         experiments=args.experiments,
         models=args.models,

@@ -967,9 +967,9 @@ class Experiment:
         Delegates to :func:`repro.api.sweep.run_sweep` with
         ``configs=(this session's preset,)``, ``seeds=(this session's
         seed,)`` and this session's cycle-model engine, so the shard
-        transports (local pools and the distributed broker), the on-disk
-        result cache and the resumable JSONL journal are all available
-        from a session object.  If the session was built from an
+        transports (local pools and the distributed broker) and the
+        on-disk result store an interrupted sweep resumes from are all
+        available from a session object.  If the session was built from an
         unregistered configuration instance, it is registered under its
         content-derived ``custom-<digest>`` name first so shard workers
         (including process and ``repro worker`` workers, which receive the
@@ -983,8 +983,10 @@ class Experiment:
             cache_dir: directory of the packed result store.
             params_by_experiment: extra per-experiment parameters.
             shards: target shard count.
-            journal: path of the append-only ``sweep.jsonl`` run journal.
-            resume: restore finished points from ``journal``.
+            journal: the store directory when ``cache_dir`` is ``None``
+                (see :func:`repro.api.sweep.run_sweep`).
+            resume: accepted for compatibility; changes nothing (needs
+                ``cache_dir`` or ``journal``).
             transport: shard transport by name (``None`` for
                 :data:`repro.api.sweep.DEFAULT_TRANSPORT`; see
                 :func:`repro.api.sweep.run_sweep`).

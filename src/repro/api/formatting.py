@@ -240,7 +240,7 @@ def format_sweep(sweep: SweepResult) -> str:
         stats = sweep.stats
         summary += (
             f"; executor={stats.executor} x{stats.max_workers}, "
-            f"{stats.shards} shard(s), {stats.journaled_points} journaled, "
+            f"{stats.shards} shard(s), "
             f"{stats.elapsed_s:.2f}s"
         )
     return "\n\n".join(sections + [summary])

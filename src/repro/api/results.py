@@ -429,8 +429,8 @@ class SweepStats:
     observability, but deliberately **excluded** from the serialised
     payload (and from equality): wall time and shard layout depend on the
     machine, the cache state and how a previous run was interrupted, while
-    the canonical :class:`SweepResult` payload of a resumed sweep must stay
-    byte-identical to an uninterrupted run.
+    the ``results`` of a resumed sweep must stay byte-identical to an
+    uninterrupted run.
 
     Attributes:
         executor: transport that ran the shards (``"serial"``,
@@ -441,7 +441,6 @@ class SweepStats:
             before their restore).
         warm_points: points planned as on-disk cache loads.
         cold_points: points planned as simulator executions.
-        journaled_points: points restored from the run journal (resume).
         elapsed_s: wall time of the whole sweep, in seconds.
     """
 
@@ -450,7 +449,6 @@ class SweepStats:
     shards: int = 0
     warm_points: int = 0
     cold_points: int = 0
-    journaled_points: int = 0
     elapsed_s: float = 0.0
 
 

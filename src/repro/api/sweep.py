@@ -1,4 +1,4 @@
-"""Sharded, process-parallel sweep service with resumable JSONL journaling.
+"""Sharded, process-parallel sweep service that resumes from its result store.
 
 Regenerating the paper's whole evaluation section -- or a design-space grid
 of it -- is a fan-out of independent experiment points.  This module turns
@@ -8,7 +8,7 @@ that fan-out into a small *service*:
   :class:`SweepPoint` s, splitting the model-parameterised experiments into
   one point per model so the fan-out is maximally parallel;
 * :class:`ShardPlanner` splits the grid by **cache state**: points whose
-  on-disk cache entry already exists are set aside as *warm* grid indices
+  store entry already exists are set aside as *warm* grid indices
   (restored in one batched read), cold points are grouped by
   (seed, engine) -- so one worker session amortises configuration
   construction and profile caching across a whole shard -- and chunked
@@ -28,18 +28,15 @@ that fan-out into a small *service*:
   I/O-bound sweeps; keeps user-registered presets visible without
   shipping them), ``"serial"``, or ``"broker"`` (a distributed
   lease-and-requeue fabric coordinating ``repro worker`` processes over a
-  shared ``sweep_dir``; every transport produces byte-identical results) --
-  and, when a ``journal`` path is given, streams every finished shard to
-  an append-only ``sweep.jsonl`` (:class:`SweepJournal`).  The coordinator
-  owns the result store (:func:`repro.store.open_store`): it restores warm
-  points in one batched read and persists each finished shard in one
-  batched append, so workers never touch it.  An
-  interrupted sweep re-invoked with
-  ``resume=True`` restores journaled points without recomputing them and
-  reproduces the uninterrupted run's ``results`` byte-for-byte (the whole
-  serialised :class:`~repro.api.results.SweepResult` when journaling
-  without a pre-populated cache; the hit/miss counters report the work
-  each invocation actually performed).
+  shared ``sweep_dir``; every transport produces byte-identical results).
+
+The coordinator owns the result store (:func:`repro.store.open_store`): it
+restores warm points in one batched read and persists each finished shard
+in one fsynced batch append, so workers never touch it.  The store is also
+what makes a sweep resumable: an interrupted sweep re-run against the same
+store restores every point a finished shard persisted and computes only
+the rest, and its ``results`` are byte-identical to an uninterrupted run
+(the hit/miss counters report the work of each invocation).
 
 The result store is keyed by a content hash of the point (experiment id,
 canonical parameters, seed, engine, schema/package versions and the full
@@ -52,7 +49,7 @@ Example::
     from repro.api import run_sweep
 
     sweep = run_sweep(experiments=("fig7",), transport="process",
-                      cache_dir=".repro-cache", journal="sweep.jsonl")
+                      cache_dir=".repro-cache")
     for result in sweep.filter("fig7"):
         print(result.params["models"], result.rows[0].speedup["hybrid"])
 """
@@ -63,7 +60,6 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
@@ -81,12 +77,7 @@ from typing import (
 )
 
 from ..arch.config import DBPIMConfig
-from ..dist import (
-    DEFAULT_TRANSPORT,
-    PidFileLock,
-    ShardTransport,
-    transport_class,
-)
+from ..dist import DEFAULT_TRANSPORT, ShardTransport, transport_class
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import resolve_cycle_model_engine
 from ..store import ResultStore, open_store
@@ -108,8 +99,6 @@ __all__ = [
     "SweepShard",
     "ShardPlan",
     "ShardPlanner",
-    "SweepJournal",
-    "SweepJournalLockedError",
     "SweepPointError",
     "build_grid",
     "cache_keys_for_grid",
@@ -178,10 +167,10 @@ class SweepPoint:
         even while one of them is being modified.)
 
         The key is memoized on the instance after the first call (the
-        point is frozen, so it can never change): the planner, cache path
-        and journal all ask for it, and re-hashing the full configuration
-        digest each time dominated the warm path.  Grids compute keys in
-        one batch via :func:`cache_keys_for_grid`.
+        point is frozen, so it can never change): the planner, the
+        execution core and the store all ask for it, and re-hashing the
+        full configuration digest each time dominated the warm path.
+        Grids compute keys in one batch via :func:`cache_keys_for_grid`.
         """
         memo = self.__dict__.get("_cache_key")
         if memo is None:
@@ -235,7 +224,7 @@ class SweepPoint:
         the configuration the input key *is* the :meth:`cache_key`: the
         engine is the only other input that key covers, and sharing such
         a result across engines is not worth a second hash per point.
-        In-memory only: never written to the store or the journal.
+        In-memory only: never written to the store.
         Memoized like :meth:`cache_key`.
         """
         memo = self.__dict__.get("_input_key")
@@ -563,15 +552,12 @@ class ShardPlan:
         shards: the cold shards to execute, in planning order.
         warm: grid indices whose cache entry existed at planning time, in
             grid order (restored by the coordinator, never sharded).
-        journaled: grid indices whose results were restored from the run
-            journal (excluded from every shard).
         cache_keys: the content hash of every grid point, in grid order
-            (computed once here so execution and journaling reuse them).
+            (computed once here so restore and persistence reuse them).
     """
 
     shards: Tuple[SweepShard, ...]
     warm: Tuple[int, ...]
-    journaled: Tuple[int, ...]
     cache_keys: Tuple[str, ...]
 
     @property
@@ -588,19 +574,18 @@ class ShardPlan:
 class ShardPlanner:
     """Partition a sweep grid by cache state into executable cold shards.
 
-    The planner is deterministic: the same grid, cache state and journal
-    state always produce an identical :class:`ShardPlan` (pinned by the
-    service tests), which is what makes interrupted sweeps resumable.
+    The planner is deterministic: the same grid and cache state always
+    produce an identical :class:`ShardPlan` (pinned by the service tests).
+    An interrupted sweep resumes by re-planning against its store: the
+    points its finished shards persisted plan as warm.
 
-    Points are partitioned in three steps:
+    Points are partitioned in two steps:
 
-    1. points already present in the run journal are set aside (their
-       results are restored without touching a worker);
-    2. the remainder is split by cache state -- *warm* points (cache entry
+    1. the grid is split by cache state -- *warm* points (cache entry
        exists) are set aside as grid indices the coordinator restores in
        one batched read, so a mostly-warm re-run does not occupy process
        workers with deserialisation;
-    3. *cold* points are grouped by ``(seed, engine)``
+    2. *cold* points are grouped by ``(seed, engine)``
        -- configurations deliberately stay *mixed* inside one group, so
        cold points that differ only in config share one worker's
        workload-profile cache across its per-config sessions
@@ -652,34 +637,23 @@ class ShardPlanner:
         workers = self.max_workers or os.cpu_count() or 1
         return max(1, workers * 2)
 
-    def plan(
-        self,
-        grid: Sequence[SweepPoint],
-        journaled_keys: Optional[Sequence[str]] = None,
-    ) -> ShardPlan:
+    def plan(self, grid: Sequence[SweepPoint]) -> ShardPlan:
         """Split ``grid`` into warm indices and cold shards.
 
         Args:
             grid: the sweep points, in grid order (see :func:`build_grid`).
-            journaled_keys: cache keys already present in the run journal;
-                matching points are excluded from every shard and reported
-                via :attr:`ShardPlan.journaled`.
         """
         keys = cache_keys_for_grid(grid)
-        known = frozenset(journaled_keys or ())
         present = (
             self.store.probe(keys) if self.store is not None else frozenset()
         )
-        journaled: List[int] = []
         warm: List[int] = []
         # (seed, engine) -> [(grid index, point)]; configs mix inside a
         # group so one worker's per-config sessions share profiles.
         groups: Dict[Tuple[int, str], List[Tuple[int, SweepPoint]]] = {}
         cold_total = 0
         for index, (point, key) in enumerate(zip(grid, keys)):
-            if key in known:
-                journaled.append(index)
-            elif key in present:
+            if key in present:
                 warm.append(index)
             else:
                 groups.setdefault((point.seed, point.engine), []).append(
@@ -695,7 +669,6 @@ class ShardPlanner:
         return ShardPlan(
             shards=tuple(shards),
             warm=tuple(warm),
-            journaled=tuple(journaled),
             cache_keys=keys,
         )
 
@@ -822,258 +795,27 @@ def run_shard(shard: SweepShard) -> List[Tuple[int, ExperimentResult, bool]]:
     return outcomes
 
 
-# ---------------------------------------------------------------------------
-# Run journal (append-only JSONL, flushed per shard)
-# ---------------------------------------------------------------------------
-class SweepJournalLockedError(RuntimeError):
-    """Another live sweep holds the journal's exclusive lock.
-
-    Two concurrent sweeps appending to one ``sweep.jsonl`` would interleave
-    their shard writes into a journal neither run could resume from, so
-    :meth:`SweepJournal.acquire` fails fast with this error instead.  The
-    message names the lock file and the PID of the holder; if that process
-    is genuinely gone the lock is stale and is reclaimed automatically.
-    """
-
-
+# Unused, but perfbench/tracer.py probes these four methods by name.
 class SweepJournal:
-    """Append-only JSONL journal making sweeps resumable.
+    """Stub of the retired JSONL run journal; nothing constructs or calls it.
 
-    The journal is a plain-text ``sweep.jsonl``: a header line followed by
-    one JSON object per finished grid point, appended (and flushed +
-    fsynced) per completed *shard*.  Each point line carries::
-
-        {"kind": "point", "schema_version": 1, "cache_key": "...",
-         "experiment": "...", "config": "...", "seed": 0,
-         "engine": "...", "params": {...}, "cache_hit": false,
-         "result": {... ExperimentResult.to_dict() ...}}
-
-    When the sweep has a result store, the result payload --
-    by far the largest part of every line, and already durable in the
-    store the moment the shard finished -- is replaced by a slim
-    ``"kind": "point-ref"`` record carrying the record's store location::
-
-        {"kind": "point-ref", "schema_version": 1, "cache_key": "...",
-         "experiment": "...", "config": "...", "seed": 0,
-         "engine": "...", "params": {...}, "cache_hit": false,
-         "store": {"offset": 1234, "length": 567}}
-
-    Resume resolves every ref through **one** batched store read
-    (:meth:`load` with ``store=``); a ref whose record has since been
-    damaged or dropped is skipped with a warning and the point recomputes,
-    so the completed resume still matches an uninterrupted run.
-
-    Points are keyed by their content-hash cache key, so a journal can only
-    ever resume points whose experiment, parameters, seed, engine,
-    configuration contents and package version all match -- a grid change
-    simply journals the new points alongside the stale ones.  Unreadable
-    lines (e.g. the torn tail of a killed run) are skipped with a warning.
+    A sweep resumes from its packed result store (see :func:`run_sweep`).
+    The class stays only because the benchmark tracer patches its four
+    methods and fails on a missing one; it goes when the tracer drops
+    those probes.
     """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        # The exclusive lock is the shared PID-sentinel implementation;
-        # the message templates reproduce this journal's historical
-        # wording byte-for-byte (pinned by the service tests).
-        self._lock = PidFileLock(
-            self.lock_path,
-            error=SweepJournalLockedError,
-            contended=(
-                f"journal {self.path} is locked by a running sweep "
-                "(pid {holder}, lock file {path}); two concurrent "
-                "sweeps must not share one journal"
-            ),
-            stale=(
-                "reclaiming stale sweep-journal lock {path} (holder pid "
-                "{holder} is gone)"
-            ),
-            exhausted=(
-                "could not acquire journal lock {path}: another sweep "
-                "keeps re-creating it"
-            ),
-        )
-
-    @property
-    def lock_path(self) -> Path:
-        """The sidecar PID-sentinel file guarding exclusive journal access."""
-        return Path(f"{self.path}.lock")
 
     def acquire(self) -> None:
-        """Take the journal's exclusive lock (PID sentinel, O_EXCL create).
-
-        Creates ``<journal>.lock`` atomically; the file holds this
-        process's PID.  If the lock already exists and its PID belongs to a
-        live process, the journal is in use by a concurrent sweep and a
-        :class:`SweepJournalLockedError` is raised *before* any journal
-        bytes are written -- two interleaved appenders would corrupt the
-        journal for both runs.  A lock whose PID is dead (a killed sweep)
-        is reclaimed with a :class:`RuntimeWarning`.  (The mechanics are
-        the shared :class:`repro.dist.locks.PidFileLock`.)
-
-        Raises:
-            SweepJournalLockedError: when a live process holds the lock.
-        """
-        self._lock.acquire(stacklevel=3)
+        """Unused."""
 
     def release(self) -> None:
-        """Drop the exclusive lock taken by :meth:`acquire` (idempotent)."""
-        self._lock.release()
-
-    def load(
-        self, store: Optional[ResultStore] = None
-    ) -> Dict[str, Tuple[ExperimentResult, bool]]:
-        """Read the journal into ``{cache_key: (result, cache_hit)}``.
-
-        Missing files load as empty; malformed or torn lines are skipped
-        with a :class:`RuntimeWarning`.  Later entries for the same key win
-        (harmless: identical keys imply identical results).
-
-        Args:
-            store: the result store slim ``"point-ref"`` records
-                resolve against, in one batched
-                :meth:`~repro.store.ResultStore.get_many` read.
-                Refs that cannot be resolved (no store given, or the
-                record is gone/damaged) are skipped with a warning -- the
-                points simply recompute.
-        """
-        entries: Dict[str, Tuple[Optional[ExperimentResult], bool]] = {}
-        refs: set = set()
-        if not self.path.exists():
-            return {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except ValueError:
-                    warnings.warn(
-                        f"skipping unreadable journal line {number} of "
-                        f"{self.path} (torn write?)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                kind = payload.get("kind")
-                if kind == "point":
-                    try:
-                        result = ExperimentResult.from_dict(payload["result"])
-                        key = str(payload["cache_key"])
-                    except (KeyError, TypeError, ValueError) as error:
-                        warnings.warn(
-                            f"skipping invalid journal entry at line "
-                            f"{number} of {self.path} "
-                            f"({type(error).__name__}: {error})",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    entries[key] = (result, bool(payload.get("cache_hit")))
-                    refs.discard(key)
-                elif kind == "point-ref":
-                    key = payload.get("cache_key")
-                    if not isinstance(key, str):
-                        warnings.warn(
-                            f"skipping invalid journal ref at line {number} "
-                            f"of {self.path} (missing cache_key)",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    entries[key] = (None, bool(payload.get("cache_hit")))
-                    refs.add(key)
-        if refs:
-            fetched = store.get_many(refs) if store is not None else {}
-            for key in refs:
-                result = fetched.get(key)
-                if result is None:
-                    warnings.warn(
-                        f"journal {self.path} references packed store "
-                        f"record {key} that cannot be read"
-                        + ("" if store is not None else " (no store given)")
-                        + "; the point will be recomputed",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    del entries[key]
-                else:
-                    entries[key] = (result, entries[key][1])
-        return {
-            key: (result, hit)
-            for key, (result, hit) in entries.items()
-            if result is not None
-        }
+        """Unused."""
 
     def start(self, resume: bool = False) -> None:
-        """Begin a journaled run: truncate (fresh run) or touch (resume)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume and self.path.exists():
-            return
-        from .. import __version__
+        """Unused."""
 
-        header = {
-            "kind": "header",
-            "journal": "repro.api.sweep",
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-        }
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def append(
-        self,
-        entries: Sequence[Tuple[SweepPoint, str, ExperimentResult, bool]],
-        locations: Optional[Mapping[str, Tuple[int, int]]] = None,
-    ) -> None:
-        """Append one shard's ``(point, cache_key, result, hit)`` outcomes.
-
-        All lines of the shard are written in one call, then flushed and
-        fsynced, so a kill can only ever tear the final line -- which
-        :meth:`load` skips -- never a finished shard.
-
-        Args:
-            locations: packed-store ``{cache_key: (offset, length)}``
-                record locations.  Entries whose key appears here are
-                journaled as slim ``"point-ref"`` records (the result
-                payload already being durable in the store); entries whose
-                key is absent -- e.g. a store append skipped because a
-                concurrent writer held the pack lock -- fall back to full
-                ``"point"`` records, so the journal stays self-sufficient
-                for exactly the points the store does not hold.
-        """
-        if not entries:
-            return
-        locations = locations or {}
-        lines = []
-        for point, key, result, hit in entries:
-            payload = {
-                "kind": "point",
-                "schema_version": SCHEMA_VERSION,
-                "cache_key": key,
-                "experiment": point.experiment,
-                "config": point.config,
-                "seed": point.seed,
-                "engine": point.engine,
-                "params": point.params,
-                "cache_hit": bool(hit),
-            }
-            location = locations.get(key)
-            if location is not None:
-                payload["kind"] = "point-ref"
-                payload["store"] = {
-                    "offset": int(location[0]),
-                    "length": int(location[1]),
-                }
-            else:
-                payload["result"] = result.to_dict()
-            lines.append(json.dumps(payload, sort_keys=True) + "\n")
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write("".join(lines))
-            handle.flush()
-            os.fsync(handle.fileno())
+    def append(self, entries: Any, locations: Any = None) -> None:
+        """Unused."""
 
 
 # ---------------------------------------------------------------------------
@@ -1120,13 +862,15 @@ def run_sweep(
     sweep_dir: Optional[Union[str, Path]] = None,
     transport_options: Optional[Mapping[str, Any]] = None,
 ) -> SweepResult:
-    """Run a grid of experiment points as a sharded, journaled sweep.
+    """Run a grid of experiment points as a sharded, resumable sweep.
 
     The grid is expanded by :func:`build_grid`, partitioned into shards by
-    :class:`ShardPlanner` (journal-restored points excluded, warm and cold
-    points separated, cold points grouped per worker session) and executed
-    by the selected backend; each finished shard is streamed to the JSONL
-    run journal, so killing the sweep loses at most the in-flight shards.
+    :class:`ShardPlanner` (warm and cold points separated, cold points
+    grouped per worker session) and executed by the selected transport.
+    With a result store, each finished shard is persisted in one fsynced
+    batch append, so killing the sweep loses at most the in-flight shards:
+    re-running it against the same store restores every persisted point
+    and computes only the rest.
 
     Args:
         experiments: experiment ids (default: every non-training experiment).
@@ -1140,24 +884,22 @@ def run_sweep(
             (:class:`repro.store.PackedResultStore`: one batched probe
             plans the grid, one batched sequential read restores every
             warm point, one locked batch append per shard persists cold
-            results, and the journal holds slim store-ref records;
-            ``None`` disables caching).  A per-file cache directory
-            converts in place via
-            :func:`repro.store.migrate_files_to_packed`.
+            results; ``None`` disables caching unless ``journal`` names
+            the store).
         params_by_experiment: extra per-experiment parameters.
         engine: cycle-model engine evaluating every point (``"vectorized"``
             by default; part of each point's cache key).
         shards: target shard count (default: twice the worker count).
-        journal: path of the append-only ``sweep.jsonl`` run journal
-            (``None`` disables journaling).
-        resume: restore finished points from ``journal`` instead of
-            recomputing them.  Requires ``journal``.  The completed sweep's
-            ``results`` are always byte-identical to an uninterrupted run;
-            when journaling without a pre-populated ``cache_dir`` the whole
-            serialised payload is byte-identical.  (The cache hit/miss
-            counters always report the work *this* invocation performed, so
-            a point the killed run cached but did not journal legitimately
-            counts as a hit on resume.)
+        journal: the store directory when ``cache_dir`` is ``None`` (a
+            sweep resumes from its store, so this is just another name for
+            ``cache_dir``); ignored when ``cache_dir`` is given.
+        resume: accepted for compatibility and changes nothing: every
+            sweep with a store already restores its finished points.  It
+            still requires ``cache_dir`` or ``journal``, the store to
+            resume from.  The resumed sweep's ``results`` are
+            byte-identical to an uninterrupted run; its hit/miss counters
+            report the work *this* invocation did, so restored points
+            count as hits.
         cache_backend: must be ``"packed"``, the only layout.
         transport: shard transport executing the sweep, by name (one of
             :data:`repro.dist.TRANSPORTS`):
@@ -1182,8 +924,9 @@ def run_sweep(
 
     Raises:
         ValueError: on an unknown transport, invalid transport options,
-            ``resume`` without a journal, or a ``cache_backend`` other than
-            ``"packed"``.
+            ``resume`` with neither ``cache_dir`` nor ``journal``, a
+            ``journal`` path that is a file (an old JSONL journal), or a
+            ``cache_backend`` other than ``"packed"``.
         SweepPointError: when a grid point fails (identifies the point).
         repro.dist.WorkerLostError: a distributed shard exhausted its
             retry budget (its workers kept dying).
@@ -1192,8 +935,20 @@ def run_sweep(
     if cache_backend != "packed":
         raise ValueError(
             f"unknown cache backend {cache_backend!r}: the packed store is "
-            "the only layout; convert a per-file cache directory with "
-            "repro.store.migrate_files_to_packed"
+            "the only layout"
+        )
+    if cache_dir is None and journal is not None:
+        if Path(journal).is_file():
+            raise ValueError(
+                f"journal {str(journal)!r} is a file, probably an old JSONL "
+                "run journal: the journal path now names a packed result "
+                "store directory; pass a new path (or cache_dir=)"
+            )
+        cache_dir = journal
+    if resume and cache_dir is None:
+        raise ValueError(
+            "resume=True needs a store to resume from: pass cache_dir= "
+            "(or journal=)"
         )
     transport_name = transport if transport is not None else DEFAULT_TRANSPORT
     transport_obj = _create_transport(
@@ -1204,8 +959,6 @@ def run_sweep(
         shards=shards,
         max_workers=max_workers,
     )
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal path")
     started = time.perf_counter()
     grid = build_grid(
         experiments=experiments,
@@ -1215,112 +968,44 @@ def run_sweep(
         params_by_experiment=params_by_experiment,
         engine=engine,
     )
-    run_journal = SweepJournal(journal) if journal is not None else None
-    if run_journal is not None:
-        # Exclusive PID-sentinel lock: a second sweep pointed at the same
-        # journal fails fast instead of interleaving shard appends.
-        run_journal.acquire()
-    try:
-        return _run_sweep_locked(
-            grid=grid,
-            run_journal=run_journal,
-            resume=resume,
-            planner=planner,
-            transport_obj=transport_obj,
-            transport_name=transport_name,
-            started=started,
-        )
-    finally:
-        if run_journal is not None:
-            run_journal.release()
-
-
-def _run_sweep_locked(
-    grid: List[SweepPoint],
-    run_journal: Optional[SweepJournal],
-    resume: bool,
-    planner: ShardPlanner,
-    transport_obj: ShardTransport,
-    transport_name: str,
-    started: float,
-) -> SweepResult:
-    """Body of :func:`run_sweep`, run while holding the journal lock.
-
-    The coordinator owns the result store for every transport: it
-    restores every warm point through ONE batched ``get_many``, hands
-    only cold shards to the transport (workers run store-less), and
-    persists each finished shard with one ``append_many``.
-    """
+    # The coordinator owns the result store for every transport: it
+    # restores every warm point through ONE batched ``get_many``, hands
+    # only cold shards to the transport (workers run store-less), and
+    # persists each finished shard with one ``append_many``.
     store = planner.store
-    restored: Dict[str, Tuple[ExperimentResult, bool]] = {}
-    if run_journal is not None and resume:
-        restored = run_journal.load(store=store)
-    plan = planner.plan(grid, journaled_keys=restored.keys())
-
-    outcomes: List[Optional[Tuple[ExperimentResult, bool]]] = [None] * len(grid)
-    for index in plan.journaled:
-        outcomes[index] = restored[plan.cache_keys[index]]
-    if run_journal is not None:
-        run_journal.start(resume=resume)
-
-    def _finish(
-        batch_outcomes: Sequence[Tuple[int, ExperimentResult, bool]],
-        label: str,
-    ) -> None:
-        """Record one finished batch: fill outcomes, persist, journal.
-
-        A "batch" is one executed shard -- or the whole warm restore at
-        once, so 10k warm points cost one store append (a no-op), one
-        ``locate`` and ONE fsynced journal write instead of one per shard.
-        """
-        for index, result, hit in batch_outcomes:
-            outcomes[index] = (result, hit)
-        locations = None
-        if store is not None:
-            fresh = [
-                (plan.cache_keys[index], result)
-                for index, result, hit in batch_outcomes
-                if not hit
-            ]
-            if fresh:
-                # A skipped append journals these points in full instead.
-                append_results(store, fresh, label)
-            if run_journal is not None:
-                locations = store.locate(
-                    plan.cache_keys[index] for index, _, _ in batch_outcomes
-                )
-        if run_journal is not None:
-            run_journal.append(
-                [
-                    (
-                        grid[index],
-                        plan.cache_keys[index],
-                        result,
-                        hit,
-                    )
-                    for index, result, hit in batch_outcomes
-                ],
-                locations=locations,
-            )
+    plan = planner.plan(grid)
+    keys = plan.cache_keys
+    results: List[Optional[ExperimentResult]] = [None] * len(grid)
+    finished = 0
 
     def _finish_shard(
         shard: SweepShard,
-        shard_outcomes: Sequence[Tuple[int, ExperimentResult, bool]],
+        outcomes: Sequence[Tuple[int, ExperimentResult, bool]],
     ) -> None:
-        _finish(shard_outcomes, f"shard {shard.index}")
+        """Fill one executed shard's results and persist them."""
+        nonlocal finished
+        for index, result, _ in outcomes:
+            results[index] = result
+        finished += len(outcomes)
+        if store is not None:
+            append_results(
+                store,
+                [(keys[index], result) for index, result, _ in outcomes],
+                f"shard {shard.index}",
+            )
 
     executed = len(plan.shards)
+    hits = 0
     if plan.warm:  # only a store makes points warm
-        fetched = store.get_many(plan.cache_keys[index] for index in plan.warm)
-        hits: List[Tuple[int, ExperimentResult, bool]] = []
+        # One pass restores every warm point and collects the lost ones.
+        warm_keys = [keys[index] for index in plan.warm]
+        fetched = store.get_many(warm_keys)
         lost: List[Tuple[int, SweepPoint]] = []
-        for index in plan.warm:
-            result = fetched.get(plan.cache_keys[index])
+        for index, key in zip(plan.warm, warm_keys):
+            result = results[index] = fetched.get(key)
             if result is None:
                 lost.append((index, grid[index]))
-            else:
-                hits.append((index, result, True))
-        _finish(hits, "warm restore")
+        hits = finished = len(plan.warm) - len(lost)
         if lost:
             # Entries damaged (or removed) between planning and restore
             # recompute exactly like cold points.
@@ -1336,22 +1021,19 @@ def _run_sweep_locked(
     # backend executes.
     transport_obj.run(plan.shards, run_shard, _finish_shard, workers)
 
-    completed = [outcome for outcome in outcomes if outcome is not None]
-    if len(completed) != len(grid):  # pragma: no cover - defensive
+    if finished != len(grid):  # pragma: no cover - defensive
         raise RuntimeError("sweep finished with unexecuted grid points")
-    hit_count = sum(1 for _, hit in completed if hit)
     stats = SweepStats(
         executor=transport_name,
         max_workers=workers,
         shards=executed,
         warm_points=plan.warm_points,
         cold_points=plan.cold_points,
-        journaled_points=len(plan.journaled),
         elapsed_s=time.perf_counter() - started,
     )
     return SweepResult(
-        results=tuple(result for result, _ in completed),
-        cache_hits=hit_count,
-        cache_misses=len(completed) - hit_count,
+        results=results,
+        cache_hits=hits,
+        cache_misses=len(grid) - hits,
         stats=stats,
     )

@@ -1,14 +1,14 @@
 """Sweep execution fabric: shard transports, the broker, and workers.
 
 The sweep service (:mod:`repro.api.sweep`) partitions a grid into
-deterministic, journaled :class:`~repro.api.sweep.SweepShard` s -- exactly
+deterministic :class:`~repro.api.sweep.SweepShard` s -- exactly
 the unit a multi-host work queue needs.  This package is the execution
 layer behind it:
 
 * :mod:`repro.dist.locks` -- the shared PID-sentinel exclusive-lock
   utility (stale-holder reclaim with a :class:`RuntimeWarning`) that the
-  sweep journal, the packed result store and the broker's shard leases are
-  all built from;
+  packed result store's writer lock and the broker's coordinator lock are
+  built from;
 * :mod:`repro.dist.transport` -- the :class:`ShardTransport` protocol
   (one ``run(shards, runner, finish, max_workers)`` that finishes every
   shard exactly once) plus the three local adapters (``serial`` /
@@ -17,7 +17,7 @@ layer behind it:
 * :mod:`repro.dist.broker` -- the first distributed transport: a
   :class:`DirectoryBroker` coordinating stateless workers over a shared
   sweep directory (pickled shard task files, PID+heartbeat-stamped lease
-  sentinels, atomically-renamed journal-fragment results merged
+  sentinels, atomically-renamed result fragments merged
   deterministically by the coordinator, per-shard attempt counts and a
   typed :class:`WorkerLostError` when the retry budget runs out);
 * :mod:`repro.dist.worker` -- the ``repro worker`` protocol: attach to a

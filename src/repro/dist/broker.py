@@ -12,7 +12,7 @@ either the old state or the new state, never a torn one::
         coordinator.lock     # PID sentinel: one coordinator per directory
         tasks/shard-0007.task    # pickled SweepShard (points + configs)
         leases/shard-0007.lease  # JSON {pid, worker, host, created, time}
-        results/shard-0007.jsonl # journal fragment (atomically renamed)
+        results/shard-0007.jsonl # result fragment (atomically renamed)
         STOP                 # coordinator is done; workers exit
 
 Lifecycle: the coordinator (:class:`BrokerTransport`, selected with
@@ -23,7 +23,7 @@ heartbeating (cross-host TTL), and, unless told otherwise, leasing and
 executing shards itself so a sweep with zero attached workers still
 completes.  Workers (``repro worker <sweep_dir>``, see
 :mod:`repro.dist.worker`) claim leases, heartbeat while executing, and
-stream results back as journal fragments.  A broken lease simply makes
+stream results back as result fragments.  A broken lease simply makes
 the shard claimable again; per-shard attempts are counted by the
 coordinator and bounded by ``max_attempts``
 (:class:`~repro.dist.transport.WorkerLostError` names the shard when the
@@ -416,13 +416,12 @@ class DirectoryBroker:
         worker: str,
         sweep_id: str,
     ) -> None:
-        """Publish one shard's outcomes as a journal fragment.
+        """Publish one shard's outcomes as a result fragment.
 
         The fragment is a JSONL blob -- a header line followed by one
         ``{"kind": "outcome", "index", "cache_hit", "result"}`` line per
-        grid point, the same serialisation contract the run journal uses
-        -- written to a temp file and atomically renamed, so readers only
-        ever see whole fragments.  Duplicated completions simply replace
+        grid point -- written to a temp file and atomically renamed, so
+        readers only ever see whole fragments.  Duplicated completions simply replace
         the fragment with identical bytes (idempotent).
         """
         lines = [

@@ -1,19 +1,17 @@
 """Shared PID-sentinel exclusive lock (stale-holder reclaim included).
 
-Three subsystems grew the same on-disk mutual-exclusion idiom
-independently: the sweep journal (two concurrent sweeps must not
-interleave appends into one ``sweep.jsonl``), the packed result store (two
-writers must not interleave records into one ``pack.data``) and now the
-directory broker's shard leases.  This module is the single shared
-implementation:
+Two subsystems need the same on-disk mutual exclusion: the packed result
+store (two writers must not interleave records into one ``pack.data``)
+and the directory broker (one coordinator per sweep directory).  This
+module is the single shared implementation:
 
 * the lock is a sidecar file created with ``O_CREAT | O_EXCL`` (atomic on
   every platform the test suite runs on) holding the owner's PID;
 * a lock whose recorded PID belongs to a **live** process is contended --
   :meth:`PidFileLock.acquire` raises the caller-supplied exception type
-  with the caller-supplied message, so the historical public errors
-  (``SweepJournalLockedError``, ``PackedStoreLockedError``) and their
-  pinned wordings keep working unchanged;
+  with the caller-supplied message, so a caller's public error
+  (``PackedStoreLockedError``) and its pinned wording keep working
+  unchanged;
 * a lock whose holder is dead (a killed sweep, a crashed writer) is
   *stale* and is reclaimed automatically with a :class:`RuntimeWarning`,
   so one SIGKILL never wedges a cache directory forever.
@@ -68,12 +66,11 @@ def pid_alive(pid: int) -> bool:
 class PidFileLock:
     """An exclusive on-disk lock: one sentinel file holding the owner PID.
 
-    The generalisation of the locks the sweep journal and the packed
-    result store each hand-rolled.  Their acquire/reclaim/release
-    semantics -- and exact messages -- are pinned by their original test
-    suites, which now run against this implementation: the three message
-    templates are caller-supplied ``str.format`` strings taking ``{path}``
-    and (where a holder exists) ``{holder}``.
+    The packed result store's writer lock and the broker's coordinator
+    lock are both instances.  Their acquire/reclaim/release semantics --
+    and exact messages -- are pinned by their own test suites: the three
+    message templates are caller-supplied ``str.format`` strings taking
+    ``{path}`` and (where a holder exists) ``{holder}``.
 
     Args:
         path: the sentinel file location.

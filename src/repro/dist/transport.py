@@ -53,7 +53,7 @@ ShardOutcomes = List[Tuple[int, Any, bool]]
 #: A callable executing one shard (``run_shard``; store-less).
 ShardRunner = Callable[[Any], ShardOutcomes]
 
-#: A callable recording one finished shard's outcomes (persist + journal).
+#: A callable recording one finished shard's outcomes (fill + persist).
 ShardFinisher = Callable[[Any, ShardOutcomes], None]
 
 
@@ -127,7 +127,7 @@ class ShardTransport:
             runner: executes one shard (``run_shard``; workers never
                 touch the result store).
             finish: coordinator-side completion hook (fills the outcome
-                table, persists to cache/journal); called exactly once
+                table, persists to the result store); called exactly once
                 per shard, in completion order.
             max_workers: the worker budget the sweep resolved.
         """

@@ -5,7 +5,7 @@ published by a :class:`~repro.dist.broker.BrokerTransport` coordinator
 (``repro sweep --transport broker --sweep-dir ...``), then loops -- claim
 an unleased, unfinished shard (atomic ``O_EXCL`` lease create), execute
 it through the very same :func:`repro.api.sweep.run_shard` every local
-transport uses, publish the outcomes as an atomically-renamed journal
+transport uses, publish the outcomes as an atomically-renamed result
 fragment, release the lease, repeat.  A background thread refreshes the
 lease's heartbeat stamp while a shard runs, so a *busy* worker is never
 mistaken for a dead one by a cross-host coordinator.
@@ -130,7 +130,7 @@ def run_worker(config: WorkerConfig) -> int:
     The worker loop of the ``repro worker`` command: wait for the
     manifest, then lease / execute / publish until the coordinator drops
     the stop sentinel, every shard has a result, or ``max_shards`` is
-    reached.  Shards run store-less; results stream back as journal
+    reached.  Shards run store-less; results stream back as result
     fragments the coordinator merges deterministically.
 
     Args:

@@ -528,7 +528,7 @@ class ExperimentService:
             self.metrics.increment("rejected_total")
             raise
         # One SweepPoint per request: its memoized keys serve the hot cache
-        # (input key), the disk cache and the journal (cache key).
+        # (input key) and the disk cache (cache key).
         point = request.point()
         key = point.cache_key()
         cached = self.hot_cache.get(point.input_key())
@@ -595,9 +595,7 @@ class ExperimentService:
 
         Accepts the keyword arguments of :func:`repro.api.sweep.run_sweep`.
         Sweeps run on their own two-thread executor, so a long grid never
-        holds up the dispatch thread.  Concurrent sweeps sharing a journal
-        path fail fast via the journal's exclusive lock
-        (:class:`~repro.api.sweep.SweepJournalLockedError`).
+        holds up the dispatch thread.
 
         Raises:
             ServiceClosedError: the service is stopping or stopped.

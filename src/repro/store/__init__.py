@@ -3,9 +3,7 @@
 :class:`ResultStore` is the interface every caller (sweep coordinator,
 serve daemon, the execution core) talks to; :func:`open_store` opens the
 self-indexing append-only pack of a cache directory
-(:class:`PackedResultStore`, see :mod:`repro.store.packed`).  A legacy
-per-file cache directory converts in place with
-:func:`migrate_files_to_packed`.
+(:class:`PackedResultStore`, see :mod:`repro.store.packed`).
 """
 
 from pathlib import Path
@@ -27,7 +25,6 @@ from .packed import (
     PackedResultStore,
     PackedStoreError,
     PackedStoreLockedError,
-    migrate_files_to_packed,
 )
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "PackedStoreError",
     "PackedStoreLockedError",
     "ResultStore",
-    "migrate_files_to_packed",
     "open_store",
 ]
 
@@ -52,18 +48,13 @@ class ResultStore(Protocol):
         """Every present, readable result of ``keys`` (damaged entries are
         misses, reported with a :class:`RuntimeWarning`)."""
 
-    def append_many(
-        self, entries: Sequence[Tuple[str, Any]]
-    ) -> Dict[str, Tuple[int, int]]:
-        """Persist ``(cache_key, result)`` entries in one batch.
+    def append_many(self, entries: Sequence[Tuple[str, Any]]) -> None:
+        """Persist ``(cache_key, result)`` entries in one batch (keys the
+        store already holds are skipped).
 
         Raises:
             PackedStoreLockedError: another live process is writing.
         """
-
-    def locate(self, keys: Iterable[str]) -> Dict[str, Tuple[int, int]]:
-        """``{key: (offset, length)}`` of records slim journal lines can
-        reference."""
 
 
 def open_store(cache_dir: Optional[Union[str, Path]]) -> Optional[ResultStore]:

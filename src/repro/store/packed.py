@@ -64,7 +64,6 @@ __all__ = [
     "PackedStoreError",
     "PackedStoreLockedError",
     "PackedResultStore",
-    "migrate_files_to_packed",
 ]
 
 #: Data file name inside the store directory.
@@ -105,8 +104,7 @@ class PackedResultStore:
     writers serialise through :meth:`append_many`.
 
     Args:
-        directory: the store directory (may also hold a per-file sweep
-            cache to convert; see :func:`migrate_files_to_packed`).
+        directory: the store directory.
 
     Attributes:
         data_path: the append-only record file (``pack.data``).
@@ -229,8 +227,10 @@ class PackedResultStore:
         return frozenset(key for key in keys if key in index)
 
     def locate(self, keys: Iterable[str]) -> Dict[str, Tuple[int, int]]:
-        """``{key: (offset, length)}`` of the present subset of ``keys``
-        (the locations slim journal records carry)."""
+        """``{key: (offset, length)}`` of the present subset of ``keys``.
+
+        No sweep path calls it; the store tests use it to find records,
+        and ``perfbench/tracer.py`` probes it by name."""
         self.maybe_refresh()
         index = self._entries
         return {key: index[key] for key in keys if key in index}
@@ -334,9 +334,7 @@ class PackedResultStore:
         """Drop the writer lock (idempotent)."""
         self._lock.release()
 
-    def append_many(
-        self, entries: Sequence[Tuple[str, Any]]
-    ) -> Dict[str, Tuple[int, int]]:
+    def append_many(self, entries: Sequence[Tuple[str, Any]]) -> None:
         """Append ``(cache_key, result)`` records in one batch.
 
         Takes the writer lock and catches up with records appended by
@@ -346,15 +344,11 @@ class PackedResultStore:
         every new frame is appended in one write and the data file is
         fsynced once; nothing else is written.
 
-        Returns:
-            ``{key: (offset, length)}`` for **every** requested key,
-            pre-existing ones included (slim journal records use these).
-
         Raises:
             PackedStoreLockedError: a live process holds the writer lock.
         """
         if not entries:
-            return {}
+            return
         self._acquire_lock()
         try:
             size = self.maybe_refresh()
@@ -394,54 +388,5 @@ class PackedResultStore:
                     os.fsync(handle.fileno())
                 index.update(fresh)
                 self._indexed_bytes = offset
-            return {key: index[key] for key, _ in entries}
         finally:
             self._release_lock()
-
-    # -- migration ------------------------------------------------------
-    def ingest_files(self, directory: Optional[Union[str, Path]] = None) -> int:
-        """Migrate a per-file sweep cache (one ``{cache_key}.json`` each).
-
-        Every readable per-file entry of ``directory`` (default: the
-        store's own directory, the usual shared-cache layout) whose key is
-        not already packed is appended in one batch, in key order.  The
-        source files are left in place.  Unreadable entries are skipped
-        with a :class:`RuntimeWarning`.
-
-        Returns:
-            The number of newly packed entries.
-        """
-        from ..api.results import ExperimentResult
-
-        source = Path(directory) if directory is not None else self.directory
-        self.maybe_refresh()
-        batch = []
-        for path in sorted(source.glob("*.json")):
-            if path.stem in self._entries:
-                continue
-            try:
-                batch.append((path.stem, ExperimentResult.load(path)))
-            except (OSError, ValueError, KeyError, TypeError) as error:
-                warnings.warn(
-                    f"skipping unreadable sweep-cache entry {path} "
-                    f"({type(error).__name__}: {error})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if batch:
-            self.append_many(batch)
-        return len(batch)
-
-
-def migrate_files_to_packed(directory: Union[str, Path]) -> int:
-    """Convert a per-file sweep cache directory into a packed store.
-
-    Convenience wrapper: opens (or creates) the pack inside ``directory``
-    and ingests every per-file ``{cache_key}.json`` entry alongside it, so
-    an existing cache is reused without recomputing anything.  Idempotent
-    -- re-running migrates only entries the pack does not hold yet.
-
-    Returns:
-        The number of newly packed entries.
-    """
-    return PackedResultStore(directory).ingest_files(directory)

@@ -273,7 +273,7 @@ class TestSweep:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_journal_and_resume(self, capsys, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
+        journal = tmp_path / "journal"
         out_path = tmp_path / "sweep.json"
         base = [
             "sweep", "--experiments", "fig7", "table4", "--models", "alexnet",
@@ -282,14 +282,38 @@ class TestSweep:
         ]
         assert main(base + ["--json", str(out_path)]) == 0
         first = SweepResult.load(out_path)
-        assert journal.exists()
+        assert journal.is_dir()  # the journal path names the store
         assert main(base + ["--resume", "--json", str(out_path)]) == 0
         resumed = SweepResult.load(out_path)
-        assert resumed == first  # byte-identical payload, nothing recomputed
+        assert resumed.results == first.results  # nothing recomputed
+        assert resumed.cache_misses == 0
+        assert resumed.cache_hits == len(first.results)
 
-    def test_sweep_resume_requires_journal(self, capsys):
+    def test_sweep_resume_requires_a_store(self, capsys):
         assert main(["sweep", "--experiments", "table4", "--resume"]) == 2
-        assert "--resume requires --journal" in capsys.readouterr().err
+        assert (
+            "--resume requires --cache-dir DIR or --journal DIR"
+            in capsys.readouterr().err
+        )
+
+    def test_sweep_resume_with_cache_dir(self, capsys, tmp_path):
+        base = [
+            "sweep", "--experiments", "table4", "--transport", "serial",
+            "--cache-dir", str(tmp_path / "cache"), "--quiet",
+        ]
+        assert main(base) == 0
+        assert main(base + ["--resume", "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cache_misses"] == 0 and payload["cache_hits"] == 1
+
+    def test_sweep_old_journal_file_exits_2(self, capsys, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        journal.write_text('{"kind": "header"}\n', encoding="utf-8")
+        assert main([
+            "sweep", "--experiments", "table4", "--journal", str(journal),
+            "--resume",
+        ]) == 2
+        assert "names a packed result store" in capsys.readouterr().err
 
     def test_sweep_rejects_bad_shards_and_workers(self, capsys):
         assert main(["sweep", "--experiments", "table4", "--shards", "0"]) == 2

@@ -1,16 +1,12 @@
-"""Tests for the sharded sweep service: planning, transports, journal.
+"""Tests for the sharded sweep service: planning, transports, resume.
 
 The sweep cache / grid basics are covered by ``test_sweep.py``; this module
 pins the service layer added on top -- deterministic shard planning keyed by
-cache state, process/thread/serial result equality, resume-from-journal
-after a simulated interruption, per-point failure attribution and
+cache state, process/thread/serial result equality, resume from the result
+store after a simulated interruption (on every transport:
+``tests/dist/test_resume.py``), per-point failure attribution and
 cache-corruption recovery.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -20,8 +16,6 @@ from repro.api import (
     Experiment,
     ExperimentResult,
     ShardPlanner,
-    SweepJournal,
-    SweepJournalLockedError,
     SweepPointError,
     SweepResult,
     build_dbpim_config,
@@ -82,14 +76,6 @@ class TestShardPlanner:
         assert sorted(i for s in plan.shards for i in s.indices) == list(
             range(1, len(grid))
         )
-
-    def test_journaled_keys_excluded_from_shards(self):
-        grid = build_grid(**GRID_KWARGS)
-        keys = [point.cache_key() for point in grid]
-        plan = ShardPlanner(shards=4).plan(grid, journaled_keys=keys[:2])
-        assert plan.journaled == (0, 1)
-        covered = sorted(i for s in plan.shards for i in s.indices)
-        assert covered == list(range(2, len(grid)))
 
     def test_shards_ship_resolved_configs(self):
         grid = build_grid(experiments=("table4",), configs=("dense-baseline",))
@@ -307,8 +293,8 @@ class TestExecutorEquality:
         self, tmp_path, monkeypatch, transport
     ):
         # Workers are store-less on every transport: the coordinator packs
-        # exactly one record per cold point, a re-run is all hits, and a
-        # resume from a half-written journal restores the same bytes.
+        # exactly one record per cold point, and a re-run -- with or
+        # without resume -- is all hits with the same bytes.
         import threading
 
         from repro.api.sweep import cache_keys_for_grid
@@ -322,12 +308,12 @@ class TestExecutorEquality:
             return real_append(self, entries)
 
         monkeypatch.setattr(PackedResultStore, "append_many", recording)
-        cache, journal = tmp_path / "cache", tmp_path / "sweep.jsonl"
+        cache = tmp_path / "cache"
         kwargs = dict(
             transport=transport, max_workers=2, shards=3, cache_dir=cache,
             **GRID_KWARGS,
         )
-        cold = run_sweep(journal=journal, **kwargs)
+        cold = run_sweep(**kwargs)
         assert cold.cache_misses == len(cold.results)
         keys = cache_keys_for_grid(build_grid(**GRID_KWARGS))
         assert [p.name for p in cache.iterdir()] == [DATA_FILENAME]
@@ -341,12 +327,10 @@ class TestExecutorEquality:
         assert warm.cache_hits == len(warm.results)
         assert [r.to_json() for r in warm.results] == reference
 
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:2]) + "\n")  # header + 1 point
-        resumed = run_sweep(journal=journal, resume=True, **kwargs)
+        resumed = run_sweep(resume=True, **kwargs)
         assert [r.to_json() for r in resumed.results] == reference
-        assert resumed.stats.journaled_points == 1
-        assert resumed.cache_hits == len(reference) - 1
+        assert resumed.cache_hits == len(reference)
+        assert resumed.stats.shards == 0
 
     def test_process_backend_ships_user_registered_configs(self, tmp_path):
         # A session on an unregistered config: the preset only exists in
@@ -399,119 +383,91 @@ class TestFailureAttribution:
         assert str(clone) == "boom" and clone.point == point
 
 
-class TestJournal:
-    def test_fresh_run_journals_every_point(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
-        lines = journal.read_text().splitlines()
-        assert json.loads(lines[0])["kind"] == "header"
-        assert len(lines) == len(sweep.results) + 1
-        entries = SweepJournal(journal).load()
-        assert len(entries) == len(sweep.results)
-        for result, hit in entries.values():
-            assert isinstance(result, ExperimentResult) and hit is False
+def _counting_experiment(executed):
+    """An ``Experiment`` recording ``(experiment, models)`` of every run."""
+    real_experiment = execution_module.Experiment
 
-    def test_resume_skips_journaled_points_and_is_byte_identical(
+    class Counting(real_experiment):
+        def run(self, experiment, **params):
+            executed.append((experiment, params.get("models")))
+            return super().run(experiment, **params)
+
+    return Counting
+
+
+class TestResume:
+    """A sweep resumes from its packed store; ``journal`` names the store
+    when there is no ``cache_dir``."""
+
+    def test_journal_path_names_the_store(self, tmp_path):
+        from repro.api.sweep import cache_keys_for_grid
+        from repro.store import DATA_FILENAME, PackedResultStore
+
+        journal = tmp_path / "journal"
+        sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
+        assert sweep.cache_misses == len(sweep.results)
+        assert [p.name for p in journal.iterdir()] == [DATA_FILENAME]
+        keys = cache_keys_for_grid(build_grid(**GRID_KWARGS))
+        assert PackedResultStore(journal).probe(keys) == frozenset(keys)
+        assert [p.name for p in tmp_path.iterdir()] == ["journal"]
+
+    def test_resume_recomputes_only_unstored_points(
         self, tmp_path, monkeypatch
     ):
-        journal = tmp_path / "sweep.jsonl"
-        full = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
-        # Simulate a kill after the first journaled shard: keep the header
-        # plus two finished points.
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:3]) + "\n")
-
+        journal = tmp_path / "journal"
+        full = run_sweep(transport="serial", **GRID_KWARGS)
+        # The store of a sweep killed after its first shard: one point.
+        first = build_grid(**GRID_KWARGS)[0]
+        run_point(first, cache_dir=journal)
         executed = []
-        real_experiment = execution_module.Experiment
-
-        class Counting(real_experiment):
-            def run(self, experiment, **params):
-                executed.append((experiment, params.get("models")))
-                return super().run(experiment, **params)
-
-        monkeypatch.setattr(execution_module, "Experiment", Counting)
+        monkeypatch.setattr(
+            execution_module, "Experiment", _counting_experiment(executed)
+        )
         resumed = run_sweep(
             transport="serial", journal=journal, resume=True, **GRID_KWARGS
         )
-        assert resumed.to_json() == full.to_json()  # byte-identical payload
-        assert resumed.stats.journaled_points == 2
-        assert len(executed) == 1  # only the missing point was recomputed
-        # The journal now covers the whole grid; a further resume runs
+        assert resumed.results == full.results
+        assert [r.to_json() for r in resumed.results] == [
+            r.to_json() for r in full.results
+        ]
+        assert executed == [("fig7", ["mobilenetv2"]), ("table4", None)]
+        # Restored points count as hits: the counters report this
+        # invocation's work.
+        assert resumed.cache_hits == 1
+        assert resumed.cache_misses == len(full.results) - 1
+        # The store now covers the whole grid; a further run computes
         # nothing at all.
         executed.clear()
         again = run_sweep(
             transport="serial", journal=journal, resume=True, **GRID_KWARGS
         )
-        assert again.to_json() == full.to_json() and executed == []
+        assert again.results == full.results and executed == []
+        assert again.cache_hits == len(full.results)
 
-    def test_resume_with_cache_keeps_results_identical(self, tmp_path):
-        # A kill can land between a point's cache write and its shard's
-        # journal append.  On resume such points legitimately count as
-        # cache hits (counters report this invocation's work), but the
-        # results payload must still match the uninterrupted run exactly.
+    def test_resume_is_accepted_and_changes_nothing(self, tmp_path):
         cache = tmp_path / "cache"
-        journal = tmp_path / "sweep.jsonl"
-        full = run_sweep(
-            transport="serial", cache_dir=cache, journal=journal, **GRID_KWARGS
-        )
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:2]) + "\n")  # header + 1 point
+        cold = run_sweep(transport="serial", cache_dir=cache, **GRID_KWARGS)
+        warm = run_sweep(transport="serial", cache_dir=cache, **GRID_KWARGS)
         resumed = run_sweep(
-            transport="serial",
-            cache_dir=cache,
-            journal=journal,
-            resume=True,
-            **GRID_KWARGS,
+            transport="serial", cache_dir=cache, resume=True, **GRID_KWARGS
         )
-        assert resumed.results == full.results
-        assert resumed.stats.journaled_points == 1
-        # The journaled point keeps its recorded miss flag; every
-        # unjournaled point was already cached by the "killed" run and so
-        # legitimately resumes as a hit.
-        assert resumed.cache_hits == len(full.results) - 1
-        assert resumed.cache_misses == 1
+        assert resumed.to_json() == warm.to_json()
+        assert resumed.results == cold.results
 
-    def test_torn_tail_line_is_skipped_with_warning(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        run_sweep(transport="serial", journal=journal, experiments=("table4",))
-        with open(journal, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "point", "cache_key": "tr')  # torn write
-        with pytest.warns(RuntimeWarning, match="torn"):
-            entries = SweepJournal(journal).load()
-        assert len(entries) == 1
-        resumed = run_sweep(
-            transport="serial",
-            journal=journal,
-            resume=True,
-            experiments=("table4",),
-        )
-        assert resumed.stats.journaled_points == 1
-
-    def test_fresh_run_truncates_stale_journal(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
+    def test_fresh_run_reuses_the_journal_store(self, tmp_path):
+        journal = tmp_path / "journal"
         run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
-        run_sweep(transport="serial", journal=journal, experiments=("table4",))
-        assert len(SweepJournal(journal).load()) == 1  # truncated, not mixed
-
-    def test_resume_requires_journal(self):
-        with pytest.raises(ValueError, match="requires a journal"):
-            run_sweep(experiments=("table4",), resume=True)
-
-    def test_journal_records_cache_hits(self, tmp_path):
-        cache = tmp_path / "cache"
-        journal = tmp_path / "sweep.jsonl"
-        run_sweep(transport="serial", cache_dir=cache, experiments=("table4",))
-        run_sweep(
-            transport="serial",
-            cache_dir=cache,
-            journal=journal,
-            experiments=("table4",),
+        again = run_sweep(
+            transport="serial", journal=journal, experiments=("table4",)
         )
-        from repro.store import PackedResultStore
+        assert again.cache_hits == 1 and again.cache_misses == 0
 
-        store = PackedResultStore(cache)
-        ((_, hit),) = SweepJournal(journal).load(store=store).values()
-        assert hit is True
+    @pytest.mark.parametrize(
+        "store", [{}, {"cache_dir": None, "journal": None}]
+    )
+    def test_resume_requires_a_store(self, store):
+        with pytest.raises(ValueError, match="needs a store to resume"):
+            run_sweep(experiments=("table4",), resume=True, **store)
 
 
 class TestCacheRobustness:
@@ -585,72 +541,47 @@ class TestSessionRunSweep:
         assert all(hit is False for _, _, hit in outcomes)
 
 
-class TestJournalLock:
-    """The exclusive journal lock: two live sweeps must not share a journal."""
+class TestSharedStore:
+    """Sweeps sharing one store: the store's writer lock keeps appends
+    whole, and a contended append is skipped, never a failed sweep."""
 
-    def test_acquire_is_exclusive_and_release_idempotent(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        first = SweepJournal(path)
-        first.acquire()
-        assert first.lock_path.exists()
-        assert int(first.lock_path.read_text().strip()) == os.getpid()
-        second = SweepJournal(path)
-        with pytest.raises(SweepJournalLockedError, match="locked by a running"):
-            second.acquire()
-        first.release()
-        first.release()  # idempotent
-        assert not first.lock_path.exists()
-        second.acquire()  # free again
-        second.release()
+    def test_sweep_completes_while_another_writer_holds_the_store(
+        self, tmp_path
+    ):
+        from repro.store import PackedResultStore
 
-    def test_stale_lock_from_dead_process_is_reclaimed(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        # A PID that is guaranteed dead: a subprocess we already reaped.
-        probe = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        dead_pid = int(probe.stdout.strip())
-        journal = SweepJournal(path)
-        journal.lock_path.write_text(f"{dead_pid}\n")
-        with pytest.warns(RuntimeWarning, match="reclaiming stale"):
-            journal.acquire()
-        assert int(journal.lock_path.read_text().strip()) == os.getpid()
-        journal.release()
-
-    def test_run_sweep_fails_fast_on_held_journal(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        holder = SweepJournal(journal)
-        holder.acquire()
+        journal = tmp_path / "journal"
+        reference = run_sweep(transport="serial", **GRID_KWARGS)
+        holder = PackedResultStore(journal)
+        holder._acquire_lock()
         try:
-            with pytest.raises(SweepJournalLockedError):
-                run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
-            # Fail-fast means no journal bytes were written at all.
-            assert not journal.exists()
+            with pytest.warns(RuntimeWarning, match="skipping packed-store"):
+                sweep = run_sweep(
+                    transport="serial", journal=journal, **GRID_KWARGS
+                )
         finally:
-            holder.release()
+            holder._release_lock()
+        assert sweep.results == reference.results
+        assert len(PackedResultStore(journal)) == 0  # nothing interleaved
 
-    def test_run_sweep_releases_lock_even_on_failure(
+    def test_store_lock_is_released_even_on_failure(
         self, tmp_path, monkeypatch
     ):
-        journal = tmp_path / "sweep.jsonl"
-        sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
-        assert sweep.results
-        assert not SweepJournal(journal).lock_path.exists()
+        from repro.store import LOCK_FILENAME
+
+        journal = tmp_path / "journal"
         real_experiment = execution_module.Experiment
 
         class Exploding(real_experiment):
             def run(self, experiment, **params):
-                raise RuntimeError("injected fault")
+                if "mobilenetv2" in (params.get("models") or []):
+                    raise RuntimeError("injected fault")
+                return super().run(experiment, **params)
 
         monkeypatch.setattr(execution_module, "Experiment", Exploding)
         with pytest.raises(SweepPointError):
             run_sweep(
-                transport="serial",
-                journal=tmp_path / "bad.jsonl",
-                experiments=("fig7",),
-                models=("alexnet",),
+                transport="serial", journal=journal, shards=3, **GRID_KWARGS
             )
-        assert not SweepJournal(tmp_path / "bad.jsonl").lock_path.exists()
+        assert journal.exists()  # the first shard was stored
+        assert not (journal / LOCK_FILENAME).exists()

@@ -1,11 +1,11 @@
 """Tests for the shared PID-sentinel lock (``repro.dist.locks``).
 
-The journal- and store-specific acquire/reclaim/release behaviours stay
-pinned by their own suites (``tests/api/test_sweep_service.py``,
-``tests/store/test_packed_store.py``), which now run against this shared
-implementation; this module pins the generic contract -- exclusivity,
-stale-holder reclaim, caller-supplied error types and message templates,
-and the guarded release that never unlinks someone else's sentinel.
+The store- and broker-specific acquire/reclaim/release behaviours stay
+pinned by their own suites (``tests/store/test_packed_store.py``,
+``tests/dist/test_broker.py``); this module pins the generic contract --
+exclusivity, stale-holder reclaim, caller-supplied error types and
+message templates, and the guarded release that never unlinks someone
+else's sentinel.
 """
 
 import os

@@ -4,25 +4,23 @@ Pins the self-indexing pack's contracts: the index is rebuilt by walking
 frames (a torn final frame is an append in progress, silently unindexed
 until the next writer truncates it; a damaged record mid-pack is a warned
 miss and the scan continues past it), appends write only their new frames,
-single-writer locking (live-holder rejection, stale-lock reclaim),
-per-file-to-packed migration, byte-identical warm re-sweeps, and slim
-journal resume restoring results byte-for-byte through the store.
+single-writer locking (live-holder rejection, stale-lock reclaim) and
+byte-identical warm re-sweeps.  Resuming an interrupted sweep from the
+store is pinned on every transport in ``tests/dist/test_resume.py``.
 """
 
-import json
 import os
 import warnings
 
 import pytest
 
 from repro.api import Experiment, build_grid, run_sweep
-from repro.api.sweep import SweepJournal, cache_keys_for_grid
+from repro.api.sweep import cache_keys_for_grid
 from repro.store import (
     DATA_FILENAME,
     PackedResultStore,
     PackedStoreError,
     PackedStoreLockedError,
-    migrate_files_to_packed,
 )
 from repro.store.packed import _MAGIC
 
@@ -68,9 +66,9 @@ class TestRoundTrip:
     def test_append_is_idempotent_per_key(self, tmp_path, results_by_key):
         store = _populate(tmp_path, results_by_key)
         size = store.data_path.stat().st_size
-        locations = store.append_many(list(results_by_key.items()))
+        assert store.append_many(list(results_by_key.items())) is None
         assert store.data_path.stat().st_size == size  # nothing re-written
-        assert set(locations) == set(results_by_key)
+        assert set(store.locate(results_by_key)) == set(results_by_key)
 
     def test_locate_covers_present_keys_only(self, tmp_path, results_by_key):
         store = _populate(tmp_path, results_by_key)
@@ -114,7 +112,8 @@ class TestRoundTrip:
         monkeypatch.setattr(
             os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
         )
-        locations = store.append_many(list(results_by_key.items()))
+        store.append_many(list(results_by_key.items()))
+        locations = store.locate(keys)
         after = store.data_path.read_bytes()
         assert len(synced) == 1
         assert after[: len(before)] == before  # old bytes untouched
@@ -128,7 +127,8 @@ class TestRoundTrip:
     ):
         key, result = next(iter(results_by_key.items()))
         store = PackedResultStore(tmp_path)
-        locations = store.append_many([(key, result), (key, result)])
+        store.append_many([(key, result), (key, result)])
+        locations = store.locate([key])
         assert len(store) == 1
         size = store.data_path.stat().st_size
         assert size == len(_MAGIC) + locations[key][1]
@@ -306,27 +306,6 @@ class TestWriterLock:
         assert store.probe(results_by_key) == frozenset(results_by_key)
 
 
-class TestMigration:
-    def test_migrate_files_to_packed(self, tmp_path, results_by_key):
-        for key, result in results_by_key.items():
-            result.save(tmp_path / f"{key}.json")
-        assert migrate_files_to_packed(tmp_path) == len(results_by_key)
-        assert migrate_files_to_packed(tmp_path) == 0  # idempotent
-        store = PackedResultStore(tmp_path)
-        assert store.get_many(results_by_key) == results_by_key
-        # The source files are left in place.
-        assert len(list(tmp_path.glob("*.json"))) == len(results_by_key)
-
-    def test_migration_skips_unreadable_entries(
-        self, tmp_path, results_by_key
-    ):
-        for key, result in results_by_key.items():
-            result.save(tmp_path / f"{key}.json")
-        (tmp_path / "deadbeef.json").write_text("{ torn", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="skipping unreadable"):
-            assert migrate_files_to_packed(tmp_path) == len(results_by_key)
-
-
 class TestSweeps:
     def test_cold_then_warm_256_seed_sweep_is_byte_identical(self, tmp_path):
         kwargs = dict(
@@ -352,20 +331,7 @@ class TestSweeps:
             transport="serial",
         )
         assert [p.name for p in cache.iterdir()] == [DATA_FILENAME]
-
-    def test_migrated_cache_serves_hits(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        reference = run_sweep(**GRID_KWARGS, transport="serial")
-        keys = cache_keys_for_grid(build_grid(**GRID_KWARGS))
-        for key, result in zip(keys, reference.results):
-            result.save(cache / f"{key}.json")
-        assert migrate_files_to_packed(cache) == len(keys)
-        warm = run_sweep(**GRID_KWARGS, cache_dir=cache, transport="serial")
-        assert [r.to_json() for r in warm.results] == [
-            r.to_json() for r in reference.results
-        ]
-        assert warm.cache_hits == len(warm.results)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
 
     def test_planner_probe_matches_store_state(self, tmp_path):
         from repro.api import ShardPlanner
@@ -385,121 +351,7 @@ class TestSweeps:
     def test_other_cache_backends_rejected(self, tmp_path):
         from repro.api import ShardPlanner
 
-        with pytest.raises(ValueError, match="migrate_files_to_packed"):
+        with pytest.raises(ValueError, match="the only layout"):
             run_sweep(**GRID_KWARGS, cache_backend="files")
         with pytest.raises(TypeError):
             ShardPlanner(cache_dir=tmp_path, cache_backend="packed")
-
-
-class TestSlimJournal:
-    def test_packed_journal_uses_point_refs(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        run_sweep(
-            **GRID_KWARGS,
-            cache_dir=tmp_path / "cache",
-            journal=journal,
-            transport="serial",
-        )
-        kinds = [
-            json.loads(line)["kind"]
-            for line in journal.read_text().splitlines()
-        ]
-        assert kinds[0] == "header"
-        assert set(kinds[1:]) == {"point-ref"}
-        for line in journal.read_text().splitlines()[1:]:
-            payload = json.loads(line)
-            assert "result" not in payload
-            assert payload["store"]["length"] > 0
-
-    def test_slim_resume_is_byte_identical(self, tmp_path):
-        cache = tmp_path / "cache"
-        journal = tmp_path / "sweep.jsonl"
-        reference = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=cache,
-            journal=journal,
-            transport="serial",
-        )
-        # Simulate an interruption: drop the tail of the journal, keeping
-        # the header and the first journaled shard lines.
-        lines = journal.read_text().splitlines(keepends=True)
-        journal.write_text("".join(lines[: 1 + len(lines) // 2]))
-        resumed = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=cache,
-            journal=journal,
-            transport="serial",
-            resume=True,
-        )
-        # Identical results bytes; the hit counters report this
-        # invocation's work (un-journaled points restore from the store as
-        # hits).
-        assert [r.to_dict() for r in resumed.results] == [
-            r.to_dict() for r in reference.results
-        ]
-        assert resumed.stats.journaled_points > 0
-        assert resumed.stats.journaled_points + resumed.cache_hits == len(
-            reference.results
-        )
-
-    def test_ref_with_lost_record_recomputes(self, tmp_path):
-        cache = tmp_path / "cache"
-        journal = tmp_path / "sweep.jsonl"
-        reference = run_sweep(
-            experiments=("table4",),
-            cache_dir=cache,
-            journal=journal,
-            transport="serial",
-        )
-        # Destroy the store: every journal ref now dangles.
-        (cache / DATA_FILENAME).unlink()
-        with pytest.warns(RuntimeWarning, match="cannot be read"):
-            resumed = run_sweep(
-                experiments=("table4",),
-                cache_dir=cache,
-                journal=journal,
-                transport="serial",
-                resume=True,
-            )
-        assert resumed.to_json() == reference.to_json()
-        assert resumed.stats.journaled_points == 0  # recomputed, not restored
-
-    def test_full_records_still_load_alongside_refs(self, tmp_path):
-        cache = tmp_path / "cache"
-        journal_path = tmp_path / "sweep.jsonl"
-        reference = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=cache,
-            journal=journal_path,
-            transport="serial",
-        )
-        # Rewrite one ref line as a legacy full record; load must accept
-        # the mix (lock-contended shards journal in full).
-        lines = journal_path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        store = PackedResultStore(cache)
-        result = store.get(payload["cache_key"])
-        payload.pop("store")
-        payload["kind"] = "point"
-        payload["result"] = result.to_dict()
-        lines[1] = json.dumps(payload, sort_keys=True)
-        journal_path.write_text("".join(line + "\n" for line in lines))
-        journal = SweepJournal(journal_path)
-        entries = journal.load(store=store)
-        assert len(entries) == len(reference.results)
-        assert entries[payload["cache_key"]][0] == result
-
-
-class TestLoadWithoutStore:
-    def test_refs_without_store_warn_and_skip(self, tmp_path):
-        cache = tmp_path / "cache"
-        journal_path = tmp_path / "sweep.jsonl"
-        run_sweep(
-            experiments=("table4",),
-            cache_dir=cache,
-            journal=journal_path,
-            transport="serial",
-        )
-        journal = SweepJournal(journal_path)
-        with pytest.warns(RuntimeWarning, match="no store given"):
-            assert journal.load() == {}

@@ -1,9 +1,8 @@
 """The :class:`repro.store.ResultStore` contract.
 
 Whatever :func:`repro.store.open_store` returns must round-trip results
-(probe -> append_many -> probe/get_many), answer ``locate`` for slim
-journal refs, and read a damaged entry as a miss with a
-:class:`RuntimeWarning` -- never an exception.
+(probe -> append_many -> probe/get_many) and read a damaged entry as a
+miss with a :class:`RuntimeWarning` -- never an exception.
 """
 
 import pytest
@@ -44,7 +43,6 @@ class TestResultStoreContract:
         # A second instance reads what the first one wrote.
         reopened = open_store(tmp_path / "cache")
         assert reopened.get_many(keys) == fetched
-        assert set(store.locate(keys)) == set(keys)
 
     def test_corrupt_entry_is_a_warned_miss(self, tmp_path, entries):
         store = open_store(tmp_path)
@@ -55,6 +53,15 @@ class TestResultStoreContract:
         with pytest.warns(RuntimeWarning):
             fetched = reader.get_many([victim, survivor])
         assert list(fetched) == [survivor]
+
+
+class TestProtocol:
+    def test_three_batched_methods(self):
+        from repro.store import ResultStore
+
+        assert {
+            name for name in vars(ResultStore) if not name.startswith("_")
+        } == {"probe", "get_many", "append_many"}
 
 
 class TestOpenStore:
